@@ -24,7 +24,7 @@ module Ha_torture = Aurora_faultsim.Ha_torture
 let ok = ref true
 
 let run_quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
-  let s = Ha_torture.quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds in
+  let s = Ha_torture.quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds () in
   Printf.printf
     "quorum seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d retx=%d \
      released=%d dropped=%d\n\

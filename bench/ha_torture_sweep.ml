@@ -1,8 +1,10 @@
-(* HA torture sweep driver.
+(* HA torture sweep: the single-standby torture, i.e. the quorum
+   harness of Ha_torture at N = 1.
 
    `ha_torture_sweep fast` (the @ha-torture alias, wired into runtest)
    runs both negative controls plus a short failover sweep at fault
-   rates up to 10%; `ha_torture_sweep deep [seed]` (@ha-torture-deep)
+   rates up to 10%, once with stop-the-world checkpoints (stw) and once
+   speculative (spec); `ha_torture_sweep deep [seed]` (@ha-torture-deep)
    sweeps more seeds, more rounds and more rates.  Exit status is
    nonzero on any run whose recovered state contradicts the reference
    model, on a missed fallback in the negative controls, or on an
@@ -21,19 +23,22 @@ let control label mode =
       ok := false
 
 let run_sweep ?(speculative = false) ~seed ~runs_per_rate ~rates ~rounds () =
-  let s = Ha_torture.sweep ~speculative ~seed ~runs_per_rate ~rates ~rounds () in
+  let s =
+    Ha_torture.quorum_sweep ~speculative ~seed ~runs_per_cell:runs_per_rate
+      ~rates ~ns:[ 1 ] ~rounds ()
+  in
   Printf.printf
-    "sweep %-5s seed=%-8d runs=%-3d ok=%-3d shipped=%d retx=%d dups=%d \
-     rejects=%d fallbacks=%d\n\
+    "sweep %-5s seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d retx=%d \
+     released=%d dropped=%d\n\
      %!"
     (if speculative then "spec" else "stw")
-    seed s.Ha_torture.h_runs s.Ha_torture.h_ok s.Ha_torture.h_shipments
-    s.Ha_torture.h_retransmits s.Ha_torture.h_dup_acks
-    s.Ha_torture.h_verify_rejects s.Ha_torture.h_fallbacks;
+    seed s.Ha_torture.q_runs s.Ha_torture.q_ok s.Ha_torture.q_evictions
+    s.Ha_torture.q_rejoins s.Ha_torture.q_retransmits s.Ha_torture.q_released
+    s.Ha_torture.q_dropped;
   List.iter
-    (fun r -> Printf.printf "  FAIL %s\n%!" (Ha_torture.pp_run r))
-    s.Ha_torture.h_failures;
-  if s.Ha_torture.h_ok <> s.Ha_torture.h_runs then ok := false
+    (fun r -> Printf.printf "  FAIL %s\n%!" (Ha_torture.pp_quorum r))
+    s.Ha_torture.q_failures;
+  if s.Ha_torture.q_ok <> s.Ha_torture.q_runs then ok := false
 
 let fast () =
   control "meta" Ha_torture.Meta;

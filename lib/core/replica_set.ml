@@ -86,9 +86,6 @@ type t = {
   primary : Group.t;
   outbox : Extsync.t option;
   window : int;
-  max_retries : int;
-  degrade_after : int;
-  evict_after : int;
   standbys : standby array;
   mutable log : log_entry list; (* newest first *)
   mutable log_len : int;
@@ -101,8 +98,13 @@ type t = {
   mutable st_released : int;
 }
 
-let create ?(window = 4) ?(max_retries = 8) ?(degrade_after = 2)
-    ?(evict_after = 6) ?(seed = 1) ?outbox ~primary ~standbys () =
+(* Health thresholds: consecutive ack timeouts that degrade and then
+   evict a standby, and sends of one frame before it is given up on. *)
+let degrade_after = 2
+let evict_after = 6
+let max_retries = 8
+
+let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
   if standbys = [] then invalid_arg "Replica_set.create: no standbys";
   if window < 1 then invalid_arg "Replica_set.create: window < 1";
   let mk i (store, link) =
@@ -137,9 +139,6 @@ let create ?(window = 4) ?(max_retries = 8) ?(degrade_after = 2)
     primary;
     outbox;
     window;
-    max_retries;
-    degrade_after;
-    evict_after;
     standbys = Array.of_list (List.mapi mk standbys);
     log = [];
     log_len = 0;
@@ -399,10 +398,10 @@ let on_timeout t sb ~what =
   sb.sb_timeouts <- sb.sb_timeouts + 1;
   sb.sb_consec_timeouts <- sb.sb_consec_timeouts + 1;
   Ometrics.incr m_rs_timeouts;
-  if sb.sb_consec_timeouts >= t.evict_after then
+  if sb.sb_consec_timeouts >= evict_after then
     evict t sb
       ~reason:(Printf.sprintf "%d consecutive timeouts" sb.sb_consec_timeouts)
-  else if sb.sb_consec_timeouts >= t.degrade_after && sb.sb_health = Healthy
+  else if sb.sb_consec_timeouts >= degrade_after && sb.sb_health = Healthy
   then begin
     sb.sb_health <- Degraded;
     if Otrace.is_on () then
@@ -428,7 +427,7 @@ let pump_standby t sb ~now =
         if alive_active sb && inf.if_deadline <= now then begin
           on_timeout t sb ~what;
           if alive_active sb then begin
-            if inf.if_attempts >= t.max_retries then
+            if inf.if_attempts >= max_retries then
               evict t sb
                 ~reason:
                   (Printf.sprintf "epoch %d unacked after %d attempts"
@@ -510,7 +509,7 @@ let ship t =
     let store = Group.store t.primary in
     (* Every epoch checkpointed since the last call becomes one frame;
        when the caller skipped rounds the single delta base..newest is
-       the whole gap, exactly like Ha's lag catch-up. *)
+       the whole gap. *)
     match build_frame ~store ~base:t.last_logged ~epoch:newest with
     | Error msg -> failwith ("Replica_set.ship: " ^ msg)
     | Ok (frame, bytes) ->

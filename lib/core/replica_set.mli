@@ -1,6 +1,9 @@
-(** Quorum replication to N standbys with pipelined shipping, election
-    failover and live migration (paper sections 3 and 10, scaled out from
-    the one-standby stop-and-wait of {!Ha}).
+(** Checkpoint shipping to N standbys with pipelined shipping, quorum
+    commit, election failover and live migration (paper sections 3 and
+    10).  This is the one replication engine: a single hot standby
+    shipped stop-and-wait is [create ~window:1] with one standby, each
+    {!ship} followed by [drain t `All] (and a {!rejoin} if the standby
+    was evicted).
 
     One primary ships sequenced, CRC-framed epoch deltas to N standbys
     over independent faultable {!Aurora_net.Link}s.  Shipping is a
@@ -8,10 +11,13 @@
     standby, acks are selective (the standby acks each epoch it installs,
     carrying its cumulative installed epoch), and retransmissions back
     off exponentially with per-standby seeded jitter so retries do not
-    synchronize across replicas.  The receiver installs epochs strictly
-    in order — a delta whose base it has not installed yet is buffered
+    synchronize across replicas; a deadline inside a known partition is
+    extended past the heal.  The receiver installs epochs strictly in
+    order — a delta whose base it has not installed yet is buffered
     until the gap fills — and every install is verified against the
-    shipped manifest digest before it is acked, exactly as in {!Ha}.
+    shipped manifest digest ({!Migrate.install_verified}) before it is
+    acked; a frame corrupted in flight earns silence, a duplicate is
+    re-acked without reinstalling.
 
     {b Quorum.}  [quorum_epoch] is the newest primary epoch that
     ⌈(N+1)/2⌉ standbys have verified-acked; it advances monotonically
@@ -22,10 +28,14 @@
     persistence is the protocol, not the local state.
 
     {b Health.}  Each standby runs a health state machine
-    [Healthy → Degraded → Evicted → Rejoining]: consecutive ack
-    timeouts degrade and then evict (eviction discards the standby's
-    window so a dead or partitioned minority degrades throughput instead
-    of stalling the pipeline); an evicted standby rejoins via a single
+    [Healthy → Degraded → Evicted → Rejoining].  Every expired ack
+    deadline is one timeout; 2 consecutive timeouts degrade a standby
+    and 6 evict it, and any ack that advances its cumulative epoch
+    resets the count.  A frame sent 8 times without an ack also evicts
+    (reachable only with [window > 1], where another frame's ack can
+    reset the count in between).  Eviction discards the standby's window
+    so a dead or partitioned minority degrades throughput instead of
+    stalling the pipeline; an evicted standby rejoins via a single
     catch-up shipment — the cumulative delta from its last acked epoch
     (a full checkpoint stream if it never acked anything) — and returns
     to [Healthy] when the catch-up is verified-acked.  A standby that
@@ -55,20 +65,15 @@ type health = Healthy | Degraded | Evicted | Rejoining
 
 val create :
   ?window:int ->
-  ?max_retries:int ->
-  ?degrade_after:int ->
-  ?evict_after:int ->
   ?seed:int ->
   ?outbox:Extsync.t ->
   primary:Group.t ->
   standbys:(Aurora_objstore.Store.t * Aurora_net.Link.t) list ->
   unit ->
   t
-(** [window] (default 4) bounds in-flight epochs per standby;
-    [max_retries] (default 8) bounds attempts per frame before the
-    standby is evicted; [degrade_after]/[evict_after] (defaults 2/6) are
-    the consecutive-timeout thresholds of the health state machine;
-    [seed] (default 1) drives the per-standby retransmit jitter.
+(** [window] (default 4) bounds in-flight epochs per standby; [1] is
+    stop-and-wait.  [seed] (default 1) drives the per-standby retransmit
+    jitter.
     [outbox] is the primary's external-synchrony buffer: messages are
     released as [quorum_epoch] advances and dropped past the failover
     point. *)

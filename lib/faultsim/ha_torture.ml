@@ -8,190 +8,82 @@ module Store = Aurora_objstore.Store
 module Link = Aurora_net.Link
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
-module Ha = Aurora_core.Ha
 module Restore = Aurora_core.Restore
 module Extsync = Aurora_core.Extsync
 module Replica_set = Aurora_core.Replica_set
 
-(* One torture run: a primary service mutating memory under continuous
-   checkpointing, shipping every epoch to a standby over a faulty link,
-   killed at a random round; the standby fails over and its recovered
-   state must match the reference model at the epoch the failover
-   reports.  The reference model is the per-round state string — each
-   round r overwrites the service's state page with "state-r", so the
-   store state at the primary epoch committed in round r renders as
-   "state-r" exactly. *)
+(* Every run drives the same service: one process whose first page holds
+   the per-round state string — round r writes "state-r" — so the store
+   state at the primary epoch committed in round r renders as "state-r"
+   exactly.  That string is the reference model failover is checked
+   against. *)
 
 let npages = 16
 let state_of_round r = Printf.sprintf "state-%06d" r
 let state_len = String.length (state_of_round 0)
 
-type run_report = {
-  hr_seed : int;
-  hr_rate : float;
-  hr_rounds : int;  (** rounds the primary completed before the kill *)
-  hr_shipped : int;  (** primary epochs acked by the standby *)
-  hr_source_epoch : int;  (** primary epoch the failover recovered *)
-  hr_fallbacks : int;  (** epochs skipped by the fallback loop *)
-  hr_retransmits : int;
-  hr_dup_acks : int;
-  hr_verify_rejects : int;
-  hr_outcome : string;  (** "match" or the failure detail *)
-  hr_ok : bool;
+type service = {
+  sys : Sls.system;
+  proc : Process.t;
+  addr : int;
+  group : Group.t;
+  pipes : (int * int) array;
 }
 
-let run ?(speculative = false) ~seed ~rounds ~rate () =
-  let rng = Rng.create seed in
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
+let boot_service ?(pipes = 0) () =
+  let sys = Sls.boot () in
+  let proc = Syscall.spawn sys.Sls.machine ~name:"svc" in
+  let e = Syscall.mmap_anon proc ~npages in
   let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  (* In the speculative arm the service carries enough kernel objects
-     that each soft serialize pass exceeds the yield quantum, so
-     concurrency windows really open mid-checkpoint. *)
-  let pipes =
-    if speculative then Array.init 48 (fun _ -> Syscall.pipe primary.Sls.machine p)
-    else [||]
-  in
-  let group = Sls.attach primary [ p ] in
-  let hook_fired = ref 0 in
-  if speculative then begin
-    Group.set_speculative group true;
-    (* Mutate a scratch page and a pipe whenever the soft-quiesce window
-       opens: the validator must splice these conflicts before the epoch
-       ships, and the shipped image must still byte-match the model
-       (which only reads the round's state page). *)
-    Machine.set_run_hook primary.Sls.machine
-      (Some
-         (fun _ns ->
-           incr hook_fired;
-           let n = !hook_fired in
-           Vm_space.write_string p.Process.space
-             ~addr:(addr + (((n mod (npages - 2)) + 2) * 4096))
-             (Printf.sprintf "mid-%d" n);
-           ignore
-             (Syscall.write primary.Sls.machine p
-                ~fd:(snd pipes.(n mod Array.length pipes))
-                "mid")))
-  end;
-  let standby = Sls.boot () in
-  let link = Link.create ~name:"ha-torture" () in
-  Link.set_faults link ~seed:(seed * 7919) (Link.lossy_profile rate);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  let pclk = primary.Sls.machine.Machine.clock in
-  (* primary epoch -> round whose state it committed *)
-  let round_of_epoch = Hashtbl.create 32 in
-  let kill_round = 1 + Rng.int rng rounds in
-  (* Sometimes the primary dies with lag: the last round checkpoints but
-     never replicates, so failover must land on an older epoch. *)
-  let killed_before_replicate = Rng.bool rng in
-  let completed = ref 0 in
-  (try
-     for r = 1 to kill_round do
-       Vm_space.write_string p.Process.space ~addr (state_of_round r);
-       (* Touch a second, rotating page so deltas vary in shape. *)
-       Vm_space.write_string p.Process.space
-         ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
-         (Printf.sprintf "fill-%d" r);
-       (* Keep every pipe dirty so the speculative pass re-serializes
-          them all and accumulates enough work to yield. *)
-       Array.iter
-         (fun (_, wr) -> ignore (Syscall.write primary.Sls.machine p ~fd:wr "r"))
-         pipes;
-       ignore (Group.checkpoint ~wait_durable:true group);
-       Hashtbl.replace round_of_epoch (Group.last_epoch group) r;
-       (* Occasional hard partition on top of the probabilistic faults. *)
-       if Rng.int rng 10 = 0 then
-         Link.partition link ~now:(Clock.now pclk)
-           ~duration:(500_000 + Rng.int rng 2_000_000);
-       if not (r = kill_round && killed_before_replicate) then
-         ignore (Ha.replicate_result ha);
-       incr completed
-     done
-   with _ -> ());
-  (* The primary machine and devices are gone; only the standby's store
-     survives.  Failover must recover a manifest-verified epoch. *)
-  let takeover = Machine.create () in
-  let hstats = Ha.stats ha in
-  let base =
-    {
-      hr_seed = seed;
-      hr_rate = rate;
-      hr_rounds = !completed;
-      hr_shipped = hstats.Ha.ha_shipments;
-      hr_source_epoch = 0;
-      hr_fallbacks = 0;
-      hr_retransmits = hstats.Ha.ha_retransmits;
-      hr_dup_acks = hstats.Ha.ha_dup_acks;
-      hr_verify_rejects = hstats.Ha.ha_verify_rejects;
-      hr_outcome = "match";
-      hr_ok = true;
-    }
-  in
-  match Ha.failover_verified ha ~machine:takeover with
-  | exception exn ->
-      { base with hr_outcome = "uncaught: " ^ Printexc.to_string exn; hr_ok = false }
-  | Error err ->
-      if Ha.shipped_epoch ha = 0 then
-        (* Nothing was ever acknowledged (possible at brutal rates with a
-           short run): no epoch to recover is the honest answer. *)
-        { base with hr_outcome = "nothing shipped"; hr_ok = true }
-      else
-        {
-          base with
-          hr_outcome = "no valid epoch: " ^ Restore.pp_restore_error err;
-          hr_ok = false;
-        }
-  | Ok report -> (
-      let source = report.Ha.fo_source_epoch in
-      let base =
-        {
-          base with
-          hr_source_epoch = source;
-          hr_fallbacks = List.length report.Ha.fo_restore.Restore.vr_skipped;
-        }
-      in
-      match Hashtbl.find_opt round_of_epoch source with
-      | None ->
-          {
-            base with
-            hr_outcome = Printf.sprintf "recovered unknown epoch %d" source;
-            hr_ok = false;
-          }
-      | Some round -> (
-          if source < Ha.shipped_epoch ha then
-            {
-              base with
-              hr_outcome =
-                Printf.sprintf "recovered epoch %d older than acked %d" source
-                  (Ha.shipped_epoch ha);
-              hr_ok = false;
-            }
-          else
-            match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-            | [ p' ] ->
-                let got =
-                  Vm_space.read_string p'.Process.space ~addr ~len:state_len
-                in
-                let want = state_of_round round in
-                if got = want then base
-                else
-                  {
-                    base with
-                    hr_outcome =
-                      Printf.sprintf "epoch %d rendered %S, model says %S"
-                        source got want;
-                    hr_ok = false;
-                  }
-            | procs ->
-                {
-                  base with
-                  hr_outcome =
-                    Printf.sprintf "expected 1 process, restored %d"
-                      (List.length procs);
-                  hr_ok = false;
-                }))
+  Vm_space.touch_write proc.Process.space ~addr ~len:(npages * 4096);
+  let pipes = Array.init pipes (fun _ -> Syscall.pipe sys.Sls.machine proc) in
+  { sys; proc; addr; group = Sls.attach sys [ proc ]; pipes }
+
+(* One round of service work: the state page, a second rotating page so
+   deltas vary in shape, and every pipe (so a speculative pass
+   re-serializes them all and accumulates enough work to yield). *)
+let mutate svc r =
+  let space = svc.proc.Process.space in
+  Vm_space.write_string space ~addr:svc.addr (state_of_round r);
+  Vm_space.write_string space
+    ~addr:(svc.addr + ((1 + (r mod (npages - 1))) * 4096))
+    (Printf.sprintf "fill-%d" r);
+  Array.iter
+    (fun (_, wr) -> ignore (Syscall.write svc.sys.Sls.machine svc.proc ~fd:wr "r"))
+    svc.pipes
+
+(* Speculative arm: soft-quiesce checkpoints, and a run hook that
+   mutates a scratch page and a pipe whenever the soft-quiesce window
+   opens.  The validator must splice these conflicts before the epoch
+   ships, and the shipped image must still byte-match the model (which
+   only reads the round's state page). *)
+let speculate svc =
+  Group.set_speculative svc.group true;
+  let fired = ref 0 in
+  Machine.set_run_hook svc.sys.Sls.machine
+    (Some
+       (fun _ns ->
+         incr fired;
+         let n = !fired in
+         Vm_space.write_string svc.proc.Process.space
+           ~addr:(svc.addr + (((n mod (npages - 2)) + 2) * 4096))
+           (Printf.sprintf "mid-%d" n);
+         ignore
+           (Syscall.write svc.sys.Sls.machine svc.proc
+              ~fd:(snd svc.pipes.(n mod Array.length svc.pipes))
+              "mid")))
+
+(* Bring every evicted standby that is still alive back with a catch-up
+   shipment. *)
+let rejoin_evicted rs =
+  List.iter
+    (fun (v : Replica_set.standby_view) ->
+      if v.Replica_set.sv_health = Replica_set.Evicted && not v.Replica_set.sv_dead
+      then Replica_set.rejoin rs v.Replica_set.sv_idx)
+    (Replica_set.views rs)
+
+let read_state svc (p' : Process.t) =
+  Vm_space.read_string p'.Process.space ~addr:svc.addr ~len:state_len
 
 (* Negative control: corrupt the standby's newest epoch after clean
    replication and demand the fallback loop skips it — recovering the
@@ -199,107 +91,69 @@ let run ?(speculative = false) ~seed ~rounds ~rate () =
 type control = Meta | Page
 
 let negative_control ~seed ~mode =
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
-  let standby = Sls.boot () in
-  let link = Link.create ~name:"ha-control" () in
-  ignore seed;
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
+  let svc = boot_service () in
+  let store = (Sls.boot ()).Sls.store in
+  let rs =
+    Replica_set.create ~window:1 ~seed ~primary:svc.group
+      ~standbys:[ (store, Link.create ~name:"ha-control" ()) ]
+      ()
+  in
   let rounds = 3 in
-  for r = 1 to rounds do
-    Vm_space.write_string p.Process.space ~addr (state_of_round r);
-    ignore (Group.checkpoint ~wait_durable:true group);
-    match Ha.replicate_result ha with
-    | Ok _ -> ()
-    | Error msg -> failwith ("control replication failed: " ^ msg)
-  done;
-  let store = standby.Sls.store in
-  let newest = Store.last_complete_epoch store in
-  (* Corrupt a non-manifest object in the newest standby epoch. *)
-  let victim =
+  let shipped =
+    List.for_all
+      (fun r ->
+        mutate svc r;
+        ignore (Group.checkpoint ~wait_durable:true svc.group);
+        Replica_set.ship rs;
+        ignore (Replica_set.drain rs `All);
+        Replica_set.quorum_epoch rs = Group.last_epoch svc.group)
+      (List.init rounds succ)
+  in
+  if not shipped then Error "control replication failed"
+  else begin
+    let newest = Store.last_complete_epoch store in
+    (* Corrupt a non-manifest object in the newest standby epoch. *)
     match
       List.find_opt
         (fun (_, kind) -> kind = Aurora_core.Serial.kind_memobj)
         (Store.objects_at store ~epoch:newest)
     with
-    | Some (oid, _) -> oid
-    | None -> failwith "control: no memory object in newest epoch"
-  in
-  (match mode with
-  | Meta -> Store.corrupt_meta_for_tests store ~epoch:newest ~oid:victim
-  | Page -> Store.corrupt_page_for_tests store ~epoch:newest ~oid:victim);
-  let takeover = Machine.create () in
-  match Ha.failover_verified ha ~machine:takeover with
-  | Error err -> Error ("no epoch recovered: " ^ Restore.pp_restore_error err)
-  | Ok report -> (
-      let v = report.Ha.fo_restore in
-      let skipped_newest =
-        List.exists
-          (fun (a : Restore.attempt) -> a.Restore.at_epoch = newest)
-          v.Restore.vr_skipped
-      in
-      if not skipped_newest then
-        Error
-          (Printf.sprintf "corrupted epoch %d was not skipped (restored %d)"
-             newest v.Restore.vr_epoch)
-      else
-        match v.Restore.vr_result.Restore.procs with
-        | [ p' ] ->
-            let got = Vm_space.read_string p'.Process.space ~addr ~len:state_len in
-            let want = state_of_round (rounds - 1) in
-            if got = want then Ok ()
-            else
+    | None -> Error "no memory object in newest epoch"
+    | Some (victim, _) -> (
+        (match mode with
+        | Meta -> Store.corrupt_meta_for_tests store ~epoch:newest ~oid:victim
+        | Page -> Store.corrupt_page_for_tests store ~epoch:newest ~oid:victim);
+        match
+          Replica_set.elect_and_failover rs ~survivors:[ 0 ]
+            ~machine:(Machine.create ())
+        with
+        | Error msg -> Error ("no epoch recovered: " ^ msg)
+        | Ok rep -> (
+            let v = rep.Replica_set.el_restore in
+            if
+              not
+                (List.exists
+                   (fun (a : Restore.attempt) -> a.Restore.at_epoch = newest)
+                   v.Restore.vr_skipped)
+            then
               Error
-                (Printf.sprintf "fallback rendered %S, model says %S" got want)
-        | procs ->
-            Error (Printf.sprintf "expected 1 process, restored %d" (List.length procs)))
-
-(* Sweeps ------------------------------------------------------------------------- *)
-
-type sweep_report = {
-  h_runs : int;
-  h_ok : int;
-  h_shipments : int;
-  h_retransmits : int;
-  h_dup_acks : int;
-  h_verify_rejects : int;
-  h_fallbacks : int;
-  h_failures : run_report list;
-}
-
-let sweep ?(speculative = false) ~seed ~runs_per_rate ~rates ~rounds () =
-  let reports =
-    List.concat_map
-      (fun rate ->
-        List.init runs_per_rate (fun i ->
-            run ~speculative
-              ~seed:(seed + (i * 131) + int_of_float (rate *. 10_000.))
-              ~rounds ~rate ()))
-      rates
-  in
-  {
-    h_runs = List.length reports;
-    h_ok = List.length (List.filter (fun r -> r.hr_ok) reports);
-    h_shipments = List.fold_left (fun a r -> a + r.hr_shipped) 0 reports;
-    h_retransmits = List.fold_left (fun a r -> a + r.hr_retransmits) 0 reports;
-    h_dup_acks = List.fold_left (fun a r -> a + r.hr_dup_acks) 0 reports;
-    h_verify_rejects =
-      List.fold_left (fun a r -> a + r.hr_verify_rejects) 0 reports;
-    h_fallbacks = List.fold_left (fun a r -> a + r.hr_fallbacks) 0 reports;
-    h_failures = List.filter (fun r -> not r.hr_ok) reports;
-  }
-
-let pp_run r =
-  Printf.sprintf
-    "seed=%d rate=%.3f rounds=%d shipped=%d source=%d fallbacks=%d \
-     retx=%d dups=%d rejects=%d: %s"
-    r.hr_seed r.hr_rate r.hr_rounds r.hr_shipped r.hr_source_epoch
-    r.hr_fallbacks r.hr_retransmits r.hr_dup_acks r.hr_verify_rejects
-    r.hr_outcome
+                (Printf.sprintf "corrupted epoch %d was not skipped (restored %d)"
+                   newest v.Restore.vr_epoch)
+            else
+              match v.Restore.vr_result.Restore.procs with
+              | [ p' ] ->
+                  let got = read_state svc p' in
+                  let want = state_of_round (rounds - 1) in
+                  if got = want then Ok ()
+                  else
+                    Error
+                      (Printf.sprintf "fallback rendered %S, model says %S" got
+                         want)
+              | procs ->
+                  Error
+                    (Printf.sprintf "expected 1 process, restored %d"
+                       (List.length procs))))
+  end
 
 (* Quorum torture ------------------------------------------------------------------ *)
 
@@ -307,17 +161,18 @@ let pp_run r =
    independently-faulty links (probabilistic faults plus scripted
    partition windows), a random minority killed at random rounds,
    evicted survivors rejoining, externally-synchronized messages
-   buffered per epoch and released only at quorum.  At the end the
-   primary dies, the survivors elect, and the run passes only if the
-   election converges on an epoch at least as new as the quorum commit
-   point, the restored state matches the reference model, and no
-   released message came from the discarded window. *)
+   buffered per epoch and released only at quorum.  The primary dies at
+   a random round, sometimes before that round ships; the survivors
+   elect, and the run passes only if the election converges on an epoch
+   at least as new as the quorum commit point, the restored state
+   matches the reference model, and no released message came from the
+   discarded window.  At N = 1 this is the single-standby torture. *)
 
 type quorum_report = {
   qr_seed : int;
   qr_rate : float;
   qr_n : int;
-  qr_rounds : int;
+  qr_rounds : int;  (** rounds the primary completed before it died *)
   qr_killed : int list;  (** standby indexes killed mid-run *)
   qr_quorum_epoch : int;  (** quorum commit point when the primary died *)
   qr_source_epoch : int;  (** primary epoch the election restored *)
@@ -332,15 +187,14 @@ type quorum_report = {
   qr_ok : bool;
 }
 
-let quorum_run ~seed ~rounds ~rate ~n =
+let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
   if n < 1 then invalid_arg "quorum_run: n < 1";
   let rng = Rng.create seed in
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
+  (* In the speculative arm the service carries enough kernel objects
+     that each soft serialize pass exceeds the yield quantum, so
+     concurrency windows really open mid-checkpoint. *)
+  let svc = boot_service ~pipes:(if speculative then 48 else 0) () in
+  if speculative then speculate svc;
   let links =
     List.init n (fun i ->
         let link = Link.create ~name:(Printf.sprintf "quorum-%d" i) () in
@@ -351,8 +205,8 @@ let quorum_run ~seed ~rounds ~rate ~n =
             Link.p_partition = rate /. 4.;
             partition_ns = 400_000;
           };
-        (* Scripted partition windows (satellite: deterministic fault
-           scenarios pinned to virtual time, on top of the dice). *)
+        (* Scripted partition windows: deterministic fault scenarios
+           pinned to virtual time, on top of the dice. *)
         if Rng.int rng 3 = 0 then
           Link.partition_at link
             ~at:(500_000 + Rng.int rng 4_000_000)
@@ -363,13 +217,20 @@ let quorum_run ~seed ~rounds ~rate ~n =
     List.map (fun link -> ((Sls.boot ()).Sls.store, link)) links
   in
   let outbox = Extsync.create () in
+  let buffered = ref 0 in
   let released = ref [] in
   let rs =
-    Replica_set.create ~window:4 ~seed:(seed + 1) ~outbox ~primary:group
+    Replica_set.create ~window:4 ~seed:(seed + 1) ~outbox ~primary:svc.group
       ~standbys ()
   in
-  (* Kill a random minority at random rounds: quorum survives by
-     construction, so the run must always converge. *)
+  (* The primary dies at a random round; sometimes abruptly, mid-window:
+     its last epoch checkpoints but never ships, the final drain never
+     happens, quorum lags the newest epoch, and failover must drop the
+     buffered messages of the lost window. *)
+  let death_round = 1 + Rng.int rng rounds in
+  let abrupt_death = Rng.bool rng in
+  (* Kill a random minority at random rounds before that: quorum
+     survives by construction, so the run must always converge. *)
   let minority = (n - 1) / 2 in
   let kills =
     if minority = 0 then []
@@ -383,23 +244,16 @@ let quorum_run ~seed ~rounds ~rate ~n =
         all.(i) <- all.(j);
         all.(j) <- tmp
       done;
-      List.init k (fun i -> (1 + Rng.int rng rounds, all.(i)))
+      List.init k (fun i -> (1 + Rng.int rng death_round, all.(i)))
     end
   in
   let round_of_epoch = Hashtbl.create 64 in
-  (* Sometimes the primary dies abruptly, mid-window: the final drain
-     never happens, quorum lags the newest epoch, and failover must
-     drop the buffered messages of the lost window. *)
-  let abrupt_death = Rng.bool rng in
   let uncaught = ref "" in
   (try
-     for r = 1 to rounds do
-       Vm_space.write_string p.Process.space ~addr (state_of_round r);
-       Vm_space.write_string p.Process.space
-         ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
-         (Printf.sprintf "fill-%d" r);
-       ignore (Group.checkpoint ~wait_durable:true group);
-       let epoch = Group.last_epoch group in
+     for r = 1 to death_round do
+       mutate svc r;
+       ignore (Group.checkpoint ~wait_durable:true svc.group);
+       let epoch = Group.last_epoch svc.group in
        Hashtbl.replace round_of_epoch epoch r;
        (* One externally-synchronized message per round, held until the
           epoch that covers it is quorum-committed. *)
@@ -408,21 +262,13 @@ let quorum_run ~seed ~rounds ~rate ~n =
            Extsync.tag = Printf.sprintf "msg-%d" r;
            deliver = (fun ~release_time:_ -> released := epoch :: !released);
          };
+       incr buffered;
        List.iter
          (fun (kr, idx) -> if kr = r then Replica_set.kill rs idx)
          kills;
-       (* In abrupt-death runs the last epoch checkpoints but never
-          ships: its buffered message is in the discarded window and
-          failover must drop it. *)
-       if not (abrupt_death && r = rounds) then Replica_set.ship rs;
+       if not (abrupt_death && r = death_round) then Replica_set.ship rs;
        (* Evicted survivors come back with catch-up shipments. *)
-       if Rng.int rng 3 = 0 then
-         List.iter
-           (fun (v : Replica_set.standby_view) ->
-             if v.Replica_set.sv_health = Replica_set.Evicted
-                && not v.Replica_set.sv_dead
-             then Replica_set.rejoin rs v.Replica_set.sv_idx)
-           (Replica_set.views rs)
+       if Rng.int rng 3 = 0 then rejoin_evicted rs
      done;
      (* Unless death is abrupt, let the pipeline reach the quorum
         commit point, rejoining any survivor the fault plane evicted
@@ -431,27 +277,26 @@ let quorum_run ~seed ~rounds ~rate ~n =
        let tries = ref 0 in
        while (not (Replica_set.drain rs `Quorum)) && !tries < 10 do
          incr tries;
-         List.iter
-           (fun (v : Replica_set.standby_view) ->
-             if v.Replica_set.sv_health = Replica_set.Evicted
-                && not v.Replica_set.sv_dead
-             then Replica_set.rejoin rs v.Replica_set.sv_idx)
-           (Replica_set.views rs)
+         rejoin_evicted rs
        done
      end
    with exn -> uncaught := Printexc.to_string exn);
   let quorum_epoch = Replica_set.quorum_epoch rs in
   let st = Replica_set.stats rs in
-  let killed = List.map snd kills in
-  let survivors =
-    List.filter (fun i -> not (List.mem i killed)) (List.init n Fun.id)
+  let views = Replica_set.views rs in
+  let killed, survivors =
+    List.partition_map
+      (fun (v : Replica_set.standby_view) ->
+        if v.Replica_set.sv_dead then Left v.Replica_set.sv_idx
+        else Right v.Replica_set.sv_idx)
+      views
   in
   let base =
     {
       qr_seed = seed;
       qr_rate = rate;
       qr_n = n;
-      qr_rounds = rounds;
+      qr_rounds = !buffered;
       qr_killed = killed;
       qr_quorum_epoch = quorum_epoch;
       qr_source_epoch = 0;
@@ -478,6 +323,11 @@ let quorum_run ~seed ~rounds ~rate ~n =
           qr_outcome = "uncaught in election: " ^ Printexc.to_string exn;
           qr_ok = false;
         }
+    | Error _ when quorum_epoch = 0 ->
+        (* Nothing was ever quorum-committed (possible at brutal rates
+           with an early death): no epoch to recover is the honest
+           answer. *)
+        { base with qr_outcome = "nothing committed" }
     | Error msg -> { base with qr_outcome = "election: " ^ msg; qr_ok = false }
     | Ok rep -> (
         let source = rep.Replica_set.el_source_epoch in
@@ -505,10 +355,11 @@ let quorum_run ~seed ~rounds ~rate ~n =
             source
         else if
           base.qr_released + base.qr_dropped + Extsync.pending outbox
-          <> rounds
+          <> !buffered
         then
           fail "outbox accounting: %d released + %d dropped + %d pending <> %d"
-            base.qr_released base.qr_dropped (Extsync.pending outbox) rounds
+            base.qr_released base.qr_dropped (Extsync.pending outbox)
+            !buffered
         else
           match Hashtbl.find_opt round_of_epoch source with
           | None -> fail "restored unknown epoch %d" source
@@ -517,9 +368,7 @@ let quorum_run ~seed ~rounds ~rate ~n =
                 rep.Replica_set.el_restore.Restore.vr_result.Restore.procs
               with
               | [ p' ] ->
-                  let got =
-                    Vm_space.read_string p'.Process.space ~addr ~len:state_len
-                  in
+                  let got = read_state svc p' in
                   let want = state_of_round round in
                   if got = want then base
                   else
@@ -547,18 +396,18 @@ type quorum_sweep_report = {
   q_failures : quorum_report list;
 }
 
-let quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
+let quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () =
   let reports =
     List.concat_map
       (fun n ->
         List.concat_map
           (fun rate ->
             List.init runs_per_cell (fun i ->
-                quorum_run
+                quorum_run ?speculative
                   ~seed:
                     (seed + (i * 131) + (n * 17)
                     + int_of_float (rate *. 10_000.))
-                  ~rounds ~rate ~n))
+                  ~rounds ~rate ~n ()))
           rates)
       ns
   in
@@ -576,13 +425,13 @@ let quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
 (* Pipelined vs stop-and-wait ------------------------------------------------------ *)
 
 (* Replication-plane cost of R rounds to N standbys, both ways, same
-   fault profile and seeds.  Plane time is the virtual time the primary
-   spends blocked in the replication protocol: for stop-and-wait that is
-   every [replicate_result] (each waits out its own acks, standby after
-   standby); for the pipeline it is [ship] (non-blocking) plus the final
-   drain to every standby current.  Checkpoint production is identical
-   on both sides and excluded — it is the plane the pipeline does not
-   change. *)
+   fault profile and seeds, same engine.  Plane time is the virtual time
+   the primary spends blocked in the replication protocol.  Stop-and-wait
+   is N single-standby replica sets at window 1, shipped in series, each
+   drained to its ack before the next; the pipeline is one window-4 set
+   whose [ship] never blocks, plus the final drain to every standby
+   current.  Checkpoint production is identical on both sides and
+   excluded — it is the plane the pipeline does not change. *)
 type pipeline_report = {
   pl_rounds : int;
   pl_n : int;
@@ -596,104 +445,87 @@ type pipeline_report = {
   pl_pipe_ok : bool;  (** pipeline drained with no standby evicted *)
 }
 
+let evicted rs =
+  List.exists
+    (fun (v : Replica_set.standby_view) ->
+      v.Replica_set.sv_health = Replica_set.Evicted)
+    (Replica_set.views rs)
+
 let pipeline_vs_stop_and_wait ~seed ~rounds ~rate ~n =
-  let mk_links tag =
+  let mk_standbys tag =
     List.init n (fun i ->
         let link = Link.create ~name:(Printf.sprintf "%s-%d" tag i) () in
         Link.set_faults link
           ~seed:((seed * 104_729) + (i * 131) + 29)
           (Link.lossy_profile rate);
-        link)
+        ((Sls.boot ()).Sls.store, link))
   in
-  let boot_primary () =
-    let primary = Sls.boot () in
-    let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-    let e = Syscall.mmap_anon p ~npages in
-    let addr = Vm_space.addr_of_entry e in
-    Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-    let group = Sls.attach primary [ p ] in
-    (primary, p, addr, group)
-  in
-  let mutate p addr r =
-    Vm_space.write_string p.Process.space ~addr (state_of_round r);
-    Vm_space.write_string p.Process.space
-      ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
-      (Printf.sprintf "fill-%d" r)
-  in
-  (* Stop-and-wait: N independent Ha instances, each shipment blocking
-     the primary until its ack (or retry exhaustion), in series. *)
+  (* Stop-and-wait: each shipment blocks the primary until its standby
+     acks.  Like any stop-and-wait sender it never gives up for good: a
+     standby the fault plane evicted is rejoined and waited for again. *)
   let sw_plane, sw_total, sw_ok =
-    let primary, p, addr, group = boot_primary () in
-    let clk = primary.Sls.machine.Machine.clock in
-    let has =
+    let svc = boot_service () in
+    let clk = svc.sys.Sls.machine.Machine.clock in
+    let sets =
       List.map
-        (fun link ->
-          Ha.create ~link ~primary:group
-            ~standby_store:(Sls.boot ()).Sls.store ())
-        (mk_links "sw")
+        (fun sb ->
+          Replica_set.create ~window:1 ~seed ~primary:svc.group
+            ~standbys:[ sb ] ())
+        (mk_standbys "sw")
     in
     let t_begin = Clock.now clk in
     let plane = ref 0 in
     let ok = ref true in
     for r = 1 to rounds do
-      mutate p addr r;
-      ignore (Group.checkpoint ~wait_durable:true group);
+      mutate svc r;
+      ignore (Group.checkpoint ~wait_durable:true svc.group);
       List.iter
-        (fun ha ->
+        (fun rs ->
           let t0 = Clock.now clk in
-          (match Ha.replicate_result ha with
-          | Ok _ -> ()
-          | Error _ -> ok := false);
+          Replica_set.ship rs;
+          ignore (Replica_set.drain rs `All);
+          if evicted rs then begin
+            rejoin_evicted rs;
+            ignore (Replica_set.drain rs `All)
+          end;
+          if Replica_set.quorum_epoch rs < Replica_set.last_logged_epoch rs then
+            ok := false;
           plane := !plane + (Clock.now clk - t0))
-        has
+        sets
     done;
     (!plane, Clock.now clk - t_begin, !ok)
   in
   (* Pipelined: one replica set, ship never blocks, one drain at the
-     end waits for every standby to be current. *)
+     end waits for every standby to be current.  Standbys the fault
+     plane evicts are rejoined, as on the stop-and-wait side, instead of
+     silently shipping to fewer. *)
   let pipe_plane, pipe_total, pipe_ok =
-    let primary, p, addr, group = boot_primary () in
-    let clk = primary.Sls.machine.Machine.clock in
-    let standbys =
-      List.map (fun link -> ((Sls.boot ()).Sls.store, link)) (mk_links "pl")
-    in
-    let rs = Replica_set.create ~window:4 ~seed ~primary:group ~standbys () in
-    (* Stop-and-wait never gives up for good (every round retries from
-       the newer base), so the fair pipeline run rejoins standbys the
-       fault plane evicts instead of silently shipping to fewer. *)
-    let rejoin_evicted () =
-      List.iter
-        (fun (v : Replica_set.standby_view) ->
-          if v.Replica_set.sv_health = Replica_set.Evicted then
-            Replica_set.rejoin rs v.Replica_set.sv_idx)
-        (Replica_set.views rs)
+    let svc = boot_service () in
+    let clk = svc.sys.Sls.machine.Machine.clock in
+    let rs =
+      Replica_set.create ~window:4 ~seed ~primary:svc.group
+        ~standbys:(mk_standbys "pl") ()
     in
     let t_begin = Clock.now clk in
     let plane = ref 0 in
     for r = 1 to rounds do
-      mutate p addr r;
-      ignore (Group.checkpoint ~wait_durable:true group);
+      mutate svc r;
+      ignore (Group.checkpoint ~wait_durable:true svc.group);
       let t0 = Clock.now clk in
       Replica_set.ship rs;
-      rejoin_evicted ();
+      rejoin_evicted rs;
       plane := !plane + (Clock.now clk - t0)
     done;
     let t0 = Clock.now clk in
     let drained = ref (Replica_set.drain rs `All) in
-    let behind () =
-      List.exists
-        (fun (v : Replica_set.standby_view) ->
-          v.Replica_set.sv_health = Replica_set.Evicted)
-        (Replica_set.views rs)
-    in
     let tries = ref 0 in
-    while behind () && !tries < 10 do
+    while evicted rs && !tries < 10 do
       incr tries;
-      rejoin_evicted ();
+      rejoin_evicted rs;
       drained := Replica_set.drain rs `All
     done;
     plane := !plane + (Clock.now clk - t0);
-    (!plane, Clock.now clk - t_begin, !drained && not (behind ()))
+    (!plane, Clock.now clk - t_begin, !drained && not (evicted rs))
   in
   {
     pl_rounds = rounds;
@@ -719,12 +551,7 @@ type migration_check = {
 }
 
 let migration_run ~seed ~rate =
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
+  let { proc = p; addr; group; _ } = boot_service () in
   let target = Sls.boot () in
   let link = Link.create ~name:"migrate" () in
   if rate > 0. then

@@ -1,92 +1,40 @@
-(** HA torture: checkpoint shipping and failover under network faults.
+(** HA torture: checkpoint shipping and failover under network faults,
+    all of it through {!Aurora_core.Replica_set}.
 
-    Each run boots a primary service under continuous checkpointing,
-    ships every epoch to a standby store through a {!Aurora_net.Link}
-    with an injected fault profile (drops, duplicates, reordering,
-    corruption, hard partitions), kills the primary at a random round —
-    sometimes before the final replicate, leaving the standby lagging —
-    and fails over.  The recovered state must byte-match the reference
-    model at exactly the primary epoch the failover reports, the
-    reported epoch must be no older than the last acknowledged one, and
-    nothing may escape as an uncaught exception.
+    A primary service under continuous checkpointing pipelines epochs to
+    N standbys over independently faulty links (probabilistic drops,
+    duplicates, reordering, corruption and partitions, plus scripted
+    {!Aurora_net.Link.partition_at} windows); a random minority is
+    killed at random rounds, evicted survivors rejoin via catch-up, and
+    externally-synchronized messages buffer until quorum.  The primary
+    dies at a random round — sometimes before that round ships, leaving
+    the standbys lagging — and the survivors elect.  The run passes only
+    if the election converges on an epoch no older than the quorum
+    commit point, every survivor's vote is no newer than the winner's,
+    the restored state byte-matches the reference model at exactly the
+    primary epoch the election reports, no released message came from
+    the discarded window, and nothing escapes as an uncaught exception.
+    At N = 1 this is the single-standby torture.
 
     The negative control corrupts the standby's newest epoch after a
     clean replication and demands the epoch-fallback loop demonstrably
     skip it.  Everything is deterministic from the seed. *)
 
-type run_report = {
-  hr_seed : int;
-  hr_rate : float;
-  hr_rounds : int;  (** rounds the primary completed before the kill *)
-  hr_shipped : int;  (** primary epochs acked by the standby *)
-  hr_source_epoch : int;  (** primary epoch the failover recovered *)
-  hr_fallbacks : int;  (** epochs skipped by the fallback loop *)
-  hr_retransmits : int;
-  hr_dup_acks : int;
-  hr_verify_rejects : int;
-  hr_outcome : string;  (** "match" or the failure detail *)
-  hr_ok : bool;
-}
-
-val run :
-  ?speculative:bool -> seed:int -> rounds:int -> rate:float -> unit -> run_report
-(** One deterministic torture run at the given link fault rate
-    ({!Aurora_net.Link.lossy_profile}).  With [~speculative:true] the
-    primary checkpoints in soft-quiesce mode and a run hook mutates a
-    scratch page inside every speculation window, so each shipped epoch
-    carries validated conflict splices; when the primary dies with lag
-    (or mid-speculation), failover must still land on a previous
-    model-consistent epoch — never a half-spliced image. *)
-
 type control = Meta | Page
 
 val negative_control : seed:int -> mode:control -> (unit, string) result
-(** Replicate cleanly, corrupt the standby's newest epoch (object
-    metadata or a page payload), fail over: [Ok ()] iff the corrupted
-    epoch was skipped and the previous round's state came back intact. *)
+(** Ship three rounds cleanly to one standby at window 1, corrupt its
+    newest epoch (object metadata or a page payload), fail over: [Ok ()]
+    iff the corrupted epoch was skipped and the previous round's state
+    came back intact. *)
 
-type sweep_report = {
-  h_runs : int;
-  h_ok : int;
-  h_shipments : int;
-  h_retransmits : int;
-  h_dup_acks : int;
-  h_verify_rejects : int;
-  h_fallbacks : int;
-  h_failures : run_report list;
-}
-
-val sweep :
-  ?speculative:bool ->
-  seed:int ->
-  runs_per_rate:int ->
-  rates:float list ->
-  rounds:int ->
-  unit ->
-  sweep_report
-(** [runs_per_rate] independent runs at every fault rate in [rates]. *)
-
-val pp_run : run_report -> string
-
-(** {1 Quorum torture}
-
-    The N-standby generalisation: a primary pipelines epochs through
-    {!Aurora_core.Replica_set} to N standbys over independently faulty
-    links (probabilistic faults plus scripted
-    {!Aurora_net.Link.partition_at} windows), a random minority is
-    killed at random rounds, evicted survivors rejoin via catch-up, and
-    externally-synchronized messages buffer until quorum.  When the
-    primary dies the survivors elect; the run passes only if the
-    election converges on an epoch no older than the quorum commit
-    point, every survivor's vote is no newer than the winner's, the
-    restored state matches the reference model, and no released message
-    came from the discarded window. *)
+(** {1 Quorum torture} *)
 
 type quorum_report = {
   qr_seed : int;
   qr_rate : float;
   qr_n : int;
-  qr_rounds : int;
+  qr_rounds : int;  (** rounds the primary completed before it died *)
   qr_killed : int list;  (** standby indexes killed mid-run *)
   qr_quorum_epoch : int;  (** quorum commit point when the primary died *)
   qr_source_epoch : int;  (** primary epoch the election restored *)
@@ -101,7 +49,23 @@ type quorum_report = {
   qr_ok : bool;
 }
 
-val quorum_run : seed:int -> rounds:int -> rate:float -> n:int -> quorum_report
+val quorum_run :
+  ?speculative:bool ->
+  seed:int ->
+  rounds:int ->
+  rate:float ->
+  n:int ->
+  unit ->
+  quorum_report
+(** One deterministic run of at most [rounds] rounds to [n] standbys at
+    the given link fault rate ({!Aurora_net.Link.lossy_profile}).  With
+    [~speculative:true] the primary checkpoints in soft-quiesce mode and
+    a run hook mutates a scratch page and a pipe inside every
+    speculation window, so each shipped epoch carries validated conflict
+    splices; failover must still land on a model-consistent epoch —
+    never a half-spliced image.  A run where nothing was ever
+    quorum-committed and no survivor holds an epoch passes as "nothing
+    committed". *)
 
 val pp_quorum : quorum_report -> string
 
@@ -117,11 +81,13 @@ type quorum_sweep_report = {
 }
 
 val quorum_sweep :
+  ?speculative:bool ->
   seed:int ->
   runs_per_cell:int ->
   rates:float list ->
   ns:int list ->
   rounds:int ->
+  unit ->
   quorum_sweep_report
 (** [runs_per_cell] independent runs for every (replica count, fault
     rate) cell. *)
@@ -143,11 +109,13 @@ type pipeline_report = {
 
 val pipeline_vs_stop_and_wait :
   seed:int -> rounds:int -> rate:float -> n:int -> pipeline_report
-(** Same workload, same fault profile, N standbys: replication-plane
-    time (primary virtual time blocked in the shipping protocol) under
-    the stop-and-wait {!Aurora_core.Ha} versus the pipelined
-    {!Aurora_core.Replica_set}.  Checkpoint production is excluded — it
-    is identical on both sides. *)
+(** Same workload, same fault profile, N standbys, one engine:
+    replication-plane time (primary virtual time blocked in the shipping
+    protocol) for stop-and-wait — N single-standby
+    {!Aurora_core.Replica_set}s at [~window:1], each shipment drained to
+    its ack in series — versus one pipelined set at [~window:4].
+    Checkpoint production is excluded — it is identical on both
+    sides. *)
 
 (** {1 Live migration} *)
 

@@ -1151,148 +1151,7 @@ let test_restore_verified_empty_store () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored from a store with no group checkpoint"
 
-(* HA edge cases ------------------------------------------------------------------- *)
-
-module Ha = Aurora_core.Ha
 module Link = Aurora_net.Link
-
-let ha_fixture () =
-  let sys = Sls.boot () in
-  let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
-  Vm_space.touch_write p.Process.space ~addr ~len:(8 * 4096);
-  let group = Sls.attach sys [ p ] in
-  let standby = Sls.boot () in
-  (sys, p, addr, group, standby)
-
-let checkpoint_round group p ~addr r =
-  Vm_space.write_string p.Process.space ~addr (Printf.sprintf "round-%d" r);
-  ignore (Group.checkpoint ~wait_durable:true group)
-
-let test_ha_failover_before_replicate () =
-  let _sys, _p, _addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  (match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "failover succeeded with nothing shipped");
-  match Ha.failover ha ~machine:(Machine.create ()) with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure"
-
-let test_ha_lag_recovers_shipped_epoch () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  ignore (Ha.replicate_result ha);
-  checkpoint_round group p ~addr 2;
-  ignore (Ha.replicate_result ha);
-  (* Round 3 checkpoints but never replicates: the primary dies lagging. *)
-  checkpoint_round group p ~addr 3;
-  Alcotest.(check int) "one epoch of lag" 1 (Ha.lag_epochs ha);
-  match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-  | Ok report -> (
-      Alcotest.(check int) "recovered the shipped epoch, not the latest"
-        (Ha.shipped_epoch ha) report.Ha.fo_source_epoch;
-      match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-      | [ p' ] ->
-          Alcotest.(check string) "round-2 state" "round-2"
-            (Vm_space.read_string p'.Process.space ~addr ~len:7)
-      | _ -> Alcotest.fail "expected 1 process")
-
-let test_ha_double_failover_idempotent () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  ignore (Ha.replicate_result ha);
-  checkpoint_round group p ~addr 2;
-  ignore (Ha.replicate_result ha);
-  let fo () =
-    match Ha.failover_verified ha ~machine:(Machine.create ()) with
-    | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-    | Ok report -> (
-        match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-        | [ p' ] ->
-            ( report.Ha.fo_source_epoch,
-              Vm_space.read_string p'.Process.space ~addr ~len:7 )
-        | _ -> Alcotest.fail "expected 1 process")
-  in
-  let first = fo () in
-  let second = fo () in
-  Alcotest.(check (pair int string)) "same epoch, same state" first second;
-  Alcotest.(check string) "round-2 state" "round-2" (snd first)
-
-let test_ha_replication_over_lossy_link () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let link = Link.create ~name:"lossy" () in
-  Link.set_faults link ~seed:1905 (Link.lossy_profile 0.25);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  for r = 1 to 8 do
-    checkpoint_round group p ~addr r;
-    match Ha.replicate_result ha with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail (Printf.sprintf "round %d not acknowledged: %s" r e)
-  done;
-  Alcotest.(check int) "standby current" 0 (Ha.lag_epochs ha);
-  let s = Ha.stats ha in
-  Alcotest.(check int) "every epoch shipped" 8 s.Ha.ha_shipments;
-  Alcotest.(check bool)
-    (Printf.sprintf "faults forced retransmits (%d)" s.Ha.ha_retransmits)
-    true
-    (s.Ha.ha_retransmits > 0);
-  (* And the recovered state is the last round despite the chaos. *)
-  match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-  | Ok report -> (
-      match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-      | [ p' ] ->
-          Alcotest.(check string) "round-8 state" "round-8"
-            (Vm_space.read_string p'.Process.space ~addr ~len:7)
-      | _ -> Alcotest.fail "expected 1 process")
-
-let test_ha_partition_outwaited () =
-  let sys, p, addr, group, standby = ha_fixture () in
-  let link = Link.create ~name:"partitioned" () in
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  (* Cut the cable for 5 ms of virtual time right before the shipment. *)
-  let now = Clock.now sys.Sls.machine.Machine.clock in
-  Link.partition link ~now ~duration:5_000_000;
-  (match Ha.replicate_result ha with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("partition not outwaited: " ^ e));
-  Alcotest.(check int) "standby current after heal" 0 (Ha.lag_epochs ha);
-  Alcotest.(check bool) "retransmitted across the partition" true
-    ((Ha.stats ha).Ha.ha_retransmits > 0);
-  Alcotest.(check bool) "primary clock crossed the heal" true
-    (Clock.now sys.Sls.machine.Machine.clock > now + 5_000_000)
-
-let test_ha_standby_rejects_divergent_state () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  (match Ha.replicate_result ha with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  (* Silently corrupt the standby's carried metadata (every object: the
-     page-granular delta re-ships only what changed, so the untouched
-     ones are composed from this corrupted state).  The next delta's
-     digest cannot match the primary's manifest, so the standby must
-     refuse and the epoch must not count as shipped. *)
-  let store = standby.Sls.store in
-  let newest = Store.last_complete_epoch store in
-  List.iter
-    (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then
-        Store.corrupt_meta_for_tests store ~epoch:newest ~oid)
-    (Store.objects_at store ~epoch:newest);
-  let shipped_before = Ha.shipped_epoch ha in
-  checkpoint_round group p ~addr 2;
-  (match Ha.replicate_result ha with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "standby installed a divergent epoch");
-  Alcotest.(check int) "shipped epoch did not advance" shipped_before
-    (Ha.shipped_epoch ha);
-  Alcotest.(check bool) "reject counted" true ((Ha.stats ha).Ha.ha_verify_rejects > 0)
 
 (* Extsync drop_after edges -------------------------------------------------------- *)
 
@@ -1373,29 +1232,11 @@ let test_restore_fallback_two_corrupt_epochs () =
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
       | _ -> Alcotest.fail "expected 1 process")
 
-(* HA backoff accounting ----------------------------------------------------------- *)
-
-let test_ha_backoff_accounted () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let link = Link.create ~name:"lossy" () in
-  Link.set_faults link ~seed:77 (Link.lossy_profile 0.3);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  for r = 1 to 6 do
-    checkpoint_round group p ~addr r;
-    ignore (Ha.replicate_result ha)
-  done;
-  let s = Ha.stats ha in
-  Alcotest.(check bool) "losses forced retransmits" true (s.Ha.ha_retransmits > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "backoff time accounted (%d ns)" s.Ha.ha_backoff_ns)
-    true
-    (s.Ha.ha_backoff_ns > 0)
-
 (* Quorum replica set -------------------------------------------------------------- *)
 
 module Replica_set = Aurora_core.Replica_set
 
-let rset_fixture ?(n = 3) ?outbox ?(fault = fun _ _ -> ()) () =
+let rset_fixture ?(n = 3) ?window ?outbox ?(fault = fun _ _ -> ()) () =
   let sys = Sls.boot () in
   let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
   Vm_space.touch_write p.Process.space ~addr ~len:(8 * 4096);
@@ -1406,12 +1247,17 @@ let rset_fixture ?(n = 3) ?outbox ?(fault = fun _ _ -> ()) () =
         fault i link;
         ((Sls.boot ()).Sls.store, link))
   in
-  let rs = Replica_set.create ?outbox ~seed:9 ~primary:group ~standbys () in
+  let rs =
+    Replica_set.create ?window ?outbox ~seed:9 ~primary:group ~standbys ()
+  in
   (sys, p, addr, group, rs, List.map fst standbys)
 
-let rset_round group p ~addr rs r =
+let checkpoint_round group p ~addr r =
   Vm_space.write_string p.Process.space ~addr (Printf.sprintf "round-%d" r);
-  ignore (Group.checkpoint ~wait_durable:true group);
+  ignore (Group.checkpoint ~wait_durable:true group)
+
+let rset_round group p ~addr rs r =
+  checkpoint_round group p ~addr r;
   Replica_set.ship rs
 
 let test_rset_pipeline_all_current () =
@@ -1545,6 +1391,8 @@ let test_rset_divergent_standby_evicted () =
     (v0.Replica_set.sv_health = Replica_set.Evicted);
   Alcotest.(check bool) "reject counted" true
     (v0.Replica_set.sv_verify_rejects > 0);
+  Alcotest.(check bool) "divergent epoch never counted as acked" true
+    (v0.Replica_set.sv_acked_epoch < Replica_set.last_logged_epoch rs);
   (* The healthy majority is unaffected. *)
   Alcotest.(check int) "quorum at the newest epoch"
     (Replica_set.last_logged_epoch rs)
@@ -1571,6 +1419,151 @@ let test_rset_migration_live () =
         (rep.Replica_set.mig_downtime_ns <= 2 * Group.period_ns group);
       Alcotest.(check bool) "pre-copy converged" true
         (rep.Replica_set.mig_final_bytes <= rep.Replica_set.mig_precopy_bytes)
+
+(* One hot standby, stop-and-wait: the replica set at n = 1, window 1 --- *)
+
+let sw_fixture ?fault () = rset_fixture ~n:1 ~window:1 ?fault ()
+
+(* Wait out the shipment's ack, rejoining once if the fault plane
+   evicted the standby; true when the standby holds the newest epoch. *)
+let sw_wait rs =
+  ignore (Replica_set.drain rs `All);
+  if (Replica_set.view rs 0).Replica_set.sv_health = Replica_set.Evicted then begin
+    Replica_set.rejoin rs 0;
+    ignore (Replica_set.drain rs `All)
+  end;
+  (Replica_set.view rs 0).Replica_set.sv_acked_epoch
+  = Replica_set.last_logged_epoch rs
+
+let sw_failover rs =
+  Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:(Machine.create ())
+
+let restored_state ~addr (rep : Replica_set.election_report) =
+  match rep.Replica_set.el_restore.Restore.vr_result.Restore.procs with
+  | [ p' ] -> Vm_space.read_string p'.Process.space ~addr ~len:7
+  | _ -> Alcotest.fail "expected 1 process"
+
+let lossy ~seed rate _ link = Link.set_faults link ~seed (Link.lossy_profile rate)
+
+let test_ha_failover_before_replicate () =
+  let _sys, p, addr, group, rs, _ = sw_fixture () in
+  (* The primary checkpointed but never shipped. *)
+  checkpoint_round group p ~addr 1;
+  match sw_failover rs with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "failover succeeded with nothing shipped"
+
+let test_ha_lag_recovers_shipped_epoch () =
+  let _sys, p, addr, group, rs, _ = sw_fixture () in
+  for r = 1 to 2 do
+    rset_round group p ~addr rs r;
+    Alcotest.(check bool) (Printf.sprintf "round %d acked" r) true (sw_wait rs)
+  done;
+  (* Round 3 checkpoints but never ships: the primary dies lagging. *)
+  checkpoint_round group p ~addr 3;
+  Alcotest.(check int) "one epoch of lag" 1
+    (Group.last_epoch group - Replica_set.quorum_epoch rs);
+  match sw_failover rs with
+  | Error e -> Alcotest.fail e
+  | Ok rep ->
+      Alcotest.(check int) "recovered the quorum epoch, not the latest"
+        (Replica_set.quorum_epoch rs) rep.Replica_set.el_source_epoch;
+      Alcotest.(check string) "round-2 state" "round-2" (restored_state ~addr rep)
+
+let test_ha_double_failover_idempotent () =
+  let _sys, p, addr, group, rs, _ = sw_fixture () in
+  for r = 1 to 2 do
+    rset_round group p ~addr rs r;
+    ignore (sw_wait rs)
+  done;
+  let fo () =
+    match sw_failover rs with
+    | Error e -> Alcotest.fail e
+    | Ok rep -> (rep.Replica_set.el_source_epoch, restored_state ~addr rep)
+  in
+  let first = fo () in
+  let second = fo () in
+  Alcotest.(check (pair int string)) "same epoch, same state" first second;
+  Alcotest.(check string) "round-2 state" "round-2" (snd first)
+
+let test_ha_replication_over_lossy_link () =
+  let _sys, p, addr, group, rs, _ =
+    sw_fixture ~fault:(lossy ~seed:1905 0.25) ()
+  in
+  for r = 1 to 8 do
+    rset_round group p ~addr rs r;
+    if not (sw_wait rs) then
+      Alcotest.fail (Printf.sprintf "round %d not acknowledged" r)
+  done;
+  let s = Replica_set.stats rs in
+  Alcotest.(check int) "every epoch shipped" 8 s.Replica_set.rs_epochs_logged;
+  Alcotest.(check bool)
+    (Printf.sprintf "faults forced retransmits (%d)" s.Replica_set.rs_retransmits)
+    true
+    (s.Replica_set.rs_retransmits > 0);
+  (* And the recovered state is the last round despite the chaos. *)
+  match sw_failover rs with
+  | Error e -> Alcotest.fail e
+  | Ok rep ->
+      Alcotest.(check string) "round-8 state" "round-8" (restored_state ~addr rep)
+
+let test_ha_partition_outwaited () =
+  let cable = ref None in
+  let sys, p, addr, group, rs, _ =
+    sw_fixture ~fault:(fun _ link -> cable := Some link) ()
+  in
+  checkpoint_round group p ~addr 1;
+  (* Cut the cable for 5 ms of virtual time right before the shipment. *)
+  let now = Clock.now sys.Sls.machine.Machine.clock in
+  Link.partition (Option.get !cable) ~now ~duration:5_000_000;
+  Replica_set.ship rs;
+  Alcotest.(check bool) "partition outwaited" true (sw_wait rs);
+  Alcotest.(check int) "no rejoin needed" 0
+    (Replica_set.stats rs).Replica_set.rs_rejoins;
+  Alcotest.(check bool) "retransmitted across the partition" true
+    ((Replica_set.stats rs).Replica_set.rs_retransmits > 0);
+  Alcotest.(check bool) "primary clock crossed the heal" true
+    (Clock.now sys.Sls.machine.Machine.clock > now + 5_000_000)
+
+let test_ha_backoff_accounted () =
+  let _sys, p, addr, group, rs, _ = sw_fixture ~fault:(lossy ~seed:77 0.3) () in
+  for r = 1 to 6 do
+    rset_round group p ~addr rs r;
+    ignore (sw_wait rs)
+  done;
+  let s = Replica_set.stats rs in
+  Alcotest.(check bool) "losses forced retransmits" true
+    (s.Replica_set.rs_retransmits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "ack timeouts waited out (%d)" s.Replica_set.rs_timeouts)
+    true
+    (s.Replica_set.rs_timeouts > 0)
+
+(* Window 1 is stop-and-wait even when the primary races ahead: several
+   logged epochs, never more than one frame in flight. *)
+let test_ha_window_one_occupancy () =
+  let sys, p, addr, group, rs, _ =
+    sw_fixture ~fault:(lossy ~seed:1905 0.25) ()
+  in
+  let clk = sys.Sls.machine.Machine.clock in
+  let peak = ref 0 in
+  let check_occupancy what =
+    let occ = (Replica_set.view rs 0).Replica_set.sv_window_occupancy in
+    peak := max !peak occ;
+    if occ > 1 then
+      Alcotest.fail (Printf.sprintf "%d frames in flight after %s" occ what)
+  in
+  for r = 1 to 8 do
+    rset_round group p ~addr rs r;
+    check_occupancy (Printf.sprintf "ship %d" r);
+    for k = 1 to 3 do
+      Clock.advance clk 50_000;
+      Replica_set.pump rs;
+      check_occupancy (Printf.sprintf "pump %d.%d" r k)
+    done
+  done;
+  Alcotest.(check int) "a frame was in flight" 1 !peak;
+  Alcotest.(check bool) "drains to the newest epoch" true (sw_wait rs)
 
 let () =
   Alcotest.run "aurora_core"
@@ -1653,10 +1646,10 @@ let () =
           Alcotest.test_case "replication over lossy link" `Quick
             test_ha_replication_over_lossy_link;
           Alcotest.test_case "partition outwaited" `Quick test_ha_partition_outwaited;
-          Alcotest.test_case "standby rejects divergent state" `Quick
-            test_ha_standby_rejects_divergent_state;
           Alcotest.test_case "backoff time accounted" `Quick
             test_ha_backoff_accounted;
+          Alcotest.test_case "window 1 occupancy" `Quick
+            test_ha_window_one_occupancy;
         ] );
       ( "quorum replication",
         [
