@@ -52,25 +52,6 @@ let run_workload ~epochs =
   Metrics.set_enabled false;
   (group, Option.get !last)
 
-(* Virtual duration of each completed span named [name], from the event
-   stream (Begin/End pairing, innermost-first). *)
-let span_durs name events =
-  let durs = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_ph with
-      | Trace.Begin -> stack := (e.Trace.ev_name, e.Trace.ev_ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (n, t) :: rest ->
-              stack := rest;
-              if n = name then durs := (e.Trace.ev_ts - t) :: !durs
-          | [] -> ())
-      | _ -> ())
-    events;
-  List.rev !durs
-
 let phase_table () =
   let table = Text_table.create ~header:[ "phase"; "n"; "p50"; "p99"; "max" ] in
   let row name hist =
@@ -116,52 +97,33 @@ let run ~epochs =
     epochs;
   phase_table ();
   print_newline ();
-  (* Accounting identity on the final epoch: the epoch span's virtual
-     duration equals the sum of its phase children, and stop_ns from
-     ckpt_stats matches the trace's stop-window phases. *)
+  (* Accounting identity on the final epoch (its events only: a span
+     name that occurs in one cycle shape must not leak in from an earlier
+     epoch of the other shape): the epoch span's virtual duration equals
+     the sum of its phase children, and stop_ns and flush_ns from
+     ckpt_stats match the trace's stop-window phases and flush span. *)
   let all_events = Trace.events () in
-  let events = all_events in
-  (* Restrict the identity to the final epoch's events: a span name that
-     only occurs in one cycle shape (serialize vs speculate/validate)
-     must not leak in from an earlier epoch of the other shape. *)
-  let last_epoch_start = ref 0 in
-  List.iteri
-    (fun i (e : Trace.event) ->
-      if e.Trace.ev_ph = Trace.Begin && e.Trace.ev_name = "epoch" then
-        last_epoch_start := i)
-    events;
-  let events = List.filteri (fun i _ -> i >= !last_epoch_start) events in
-  let last_of name =
-    match List.rev (span_durs name events) with d :: _ -> d | [] -> 0
+  let ph =
+    Trace.epoch_partition ~stop_ns:stats.Group.stop_ns
+      (Trace.last_epoch all_events)
   in
-  let epoch_dur = last_of "epoch" in
-  (* "speculate" and "validate" appear only on speculative epochs;
-     "serialize" only on stop-the-world ones — absent spans count 0, so
-     one parts list covers both cycle shapes. *)
-  let parts =
-    [
-      "speculate";
-      "quiesce";
-      "collapse";
-      "serialize";
-      "validate";
-      "shadow";
-      "resume";
-      "flush";
-    ]
-  in
-  let sum = List.fold_left (fun acc n -> acc + last_of n) 0 parts in
+  let sum = ph.Trace.speculate_ns + ph.Trace.stop_phases_ns + ph.Trace.flush_ns in
   Printf.printf
     "identity: epoch span %s = %s (speculate+quiesce+collapse+serialize+validate+shadow+resume+flush) -> %s\n"
-    (Units.ns_to_string epoch_dur) (Units.ns_to_string sum)
-    (if epoch_dur = sum then "OK" else "MISMATCH");
+    (Units.ns_to_string ph.Trace.epoch_ns) (Units.ns_to_string sum)
+    (if ph.Trace.epoch_ns = sum then "OK" else "MISMATCH");
   Printf.printf
     "identity: ckpt_stats stop_ns %s vs trace stop phases %s; flush_ns %s vs flush span %s\n"
     (Units.ns_to_string stats.Group.stop_ns)
-    (Units.ns_to_string (sum - last_of "flush" - last_of "speculate"))
+    (Units.ns_to_string ph.Trace.stop_phases_ns)
     (Units.ns_to_string stats.Group.flush_ns)
-    (Units.ns_to_string (last_of "flush"));
-  let ok = epoch_dur = sum && Trace.dropped () = 0 in
+    (Units.ns_to_string ph.Trace.flush_ns);
+  Option.iter (Printf.printf "identity: %s\n") ph.Trace.error;
+  let ok =
+    ph.Trace.error = None
+    && stats.Group.flush_ns = ph.Trace.flush_ns
+    && Trace.dropped () = 0
+  in
   (* Chrome trace for chrome://tracing / Perfetto. *)
   let oc = open_out "OBS_trace.json" in
   output_string oc (Trace.export_json ());

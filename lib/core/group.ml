@@ -174,7 +174,6 @@ let store t = t.st
 let fs t = t.filesystem
 let clock t = t.mach.Machine.clock
 let period_ns t = t.period
-let set_period_ns t p = t.period <- p
 
 let members t =
   List.filter_map (fun pid -> Machine.proc t.mach pid) t.member_pids
@@ -186,9 +185,7 @@ let add_process t p =
 let detach_process t p =
   t.member_pids <- List.filter (fun pid -> pid <> p.Process.pid_global) t.member_pids
 
-let ext_sync_enabled t = t.ext_sync
 let set_ext_sync t v = t.ext_sync <- v
-let speculative_enabled t = t.speculative
 let set_speculative t v = t.speculative <- v
 let group_oid t = t.grp_oid
 let last_epoch t = t.last_epoch_committed
@@ -216,19 +213,9 @@ let desc_oid t (d : Fdesc.t) =
       Hashtbl.replace t.desc_oids d.Fdesc.desc_id oid;
       oid
 
-let oid_of_desc t d = Hashtbl.find_opt t.desc_oids d.Fdesc.desc_id
-
 (* Memory records ------------------------------------------------------------ *)
 
 let memrec_of_top t obj = Hashtbl.find_opt t.top_index (Vm_object.id obj)
-
-let memrec_oid_of_object t obj =
-  match memrec_of_top t obj with
-  | Some r -> Some r.mo_oid
-  | None -> (
-      match Hashtbl.find_opt t.memrecs (Vm_object.id obj) with
-      | Some r -> Some r.mo_oid
-      | None -> None)
 
 (* Find the memrec owning [obj] anywhere in its role (logical, top or
    frozen); used to resolve parent links of fork-created shadows. *)
@@ -760,6 +747,13 @@ let checkpoint_proc t (p : Process.t) =
 
 (* System shadowing ------------------------------------------------------------- *)
 
+(* Shared-memory segments live in global namespaces, not fd tables: the
+   System V namespace is scanned every checkpoint (its Table 4 cost), and
+   named POSIX segments are persisted even when no descriptor is open. *)
+let iter_shm t f =
+  Hashtbl.iter (fun _ shm -> f shm) t.mach.Machine.sysv_shm;
+  Hashtbl.iter (fun _ shm -> f shm) t.mach.Machine.posix_shm
+
 (* Re-point every object that shadowed [old_parent] (fork children created
    since the last checkpoint) at [survivor]. *)
 let repoint_children t ~old_parent ~survivor =
@@ -806,14 +800,7 @@ let interpose_shadow t spaces r =
   List.iter
     (fun space -> ignore (Vm_space.replace_object space ~old_obj:old_top ~new_obj:fresh))
     spaces;
-  Hashtbl.iter
-    (fun _ shm ->
-      if Shm.backing shm == old_top then Shm.set_backing shm fresh)
-    t.mach.Machine.posix_shm;
-  Hashtbl.iter
-    (fun _ shm ->
-      if Shm.backing shm == old_top then Shm.set_backing shm fresh)
-    t.mach.Machine.sysv_shm;
+  iter_shm t (fun shm -> if Shm.backing shm == old_top then Shm.set_backing shm fresh);
   Hashtbl.remove t.top_index (Vm_object.id old_top);
   Hashtbl.replace t.top_index (Vm_object.id fresh) r;
   r.frozen <- Some old_top;
@@ -957,29 +944,6 @@ let stage_group_obj t ~proc_oids =
            i_ephemeral_parents = ephemeral_parents;
          })
 
-(* The OS-state serialize pass, shared between the stop-the-world path
-   and the speculation phase.  [fs] gates the file-backed work (vnode
-   dirty-bit harvest plus FS staging): the speculative pass runs with
-   [~fs:false] because file state must be captured at the stop, not
-   mid-execution.  [group_obj] likewise gates the group-object staging,
-   which the validation window redoes from stop-time membership. *)
-let serialize_os t procs ~flush ~fs ~group_obj =
-  if fs then begin
-    harvest_file_dirty t procs;
-    match t.filesystem with
-    | Some filesystem when flush -> Fs.flush_to_store filesystem
-    | Some _ | None -> ()
-  end;
-  let proc_oids = List.map (fun p -> checkpoint_proc t p) procs in
-  (* Shared-memory segments live in global namespaces, not fd tables: the
-     System V namespace is scanned every checkpoint (its Table 4 cost),
-     and named POSIX segments are persisted even when no descriptor is
-     currently open. *)
-  Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.sysv_shm;
-  Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.posix_shm;
-  if group_obj && flush then stage_group_obj t ~proc_oids;
-  proc_oids
-
 (* Speculative soft-quiesce ---------------------------------------------------
 
    The expensive OS-object serialize runs on a spare core while the
@@ -1040,10 +1004,13 @@ let spec_splice_pages t spaces =
 
 (* One conflict-chasing round over the OS objects: processes whose
    composite stamp moved since their last visit, the logged kernel-object
-   mutations, and shared-memory segments created mid-window (they have no
-   thunk and may have no open descriptor).  Work is proportional to the
-   mutation count, not the object count — clean objects cost one
-   dirty-check for procs and nothing at all otherwise. *)
+   mutations, and shared-memory segments the soft window never visited
+   (created mid-window, or no window ran: they have no thunk).  Work is
+   proportional to the mutation count, not the object count — clean
+   objects cost one dirty-check for procs and nothing at all otherwise.
+   With nothing speculated every process misses its snapshot and every
+   segment its thunk, so the round serializes everything: the
+   stop-the-world pass. *)
 let spec_refine_round t procs =
   Hashtbl.reset t.seen;
   let s0 = t.c_serialized in
@@ -1062,12 +1029,9 @@ let spec_refine_round t procs =
       | Some thunk -> thunk ()
       | None -> ())
     (Genlog.drain ());
-  let scan _ shm =
-    if not (Hashtbl.mem t.spec_thunks (Genlog.kind_shm, Shm.id shm)) then
-      ignore (checkpoint_shm t shm)
-  in
-  Hashtbl.iter scan t.mach.Machine.sysv_shm;
-  Hashtbl.iter scan t.mach.Machine.posix_shm;
+  iter_shm t (fun shm ->
+      if not (Hashtbl.mem t.spec_thunks (Genlog.kind_shm, Shm.id shm)) then
+        ignore (checkpoint_shm t shm));
   t.c_serialized - s0
 
 (* The soft window: serialize and harvest concurrently with execution,
@@ -1075,8 +1039,6 @@ let spec_refine_round t procs =
    stop window drain the rest). *)
 let speculate t procs spaces =
   List.iter Vm_space.spec_begin spaces;
-  Hashtbl.reset t.spec_thunks;
-  Hashtbl.reset t.spec_proc_snap;
   Genlog.arm ();
   t.spec_phase <- true;
   t.spec_busy_ns <- 0;
@@ -1086,8 +1048,11 @@ let speculate t procs spaces =
       Hashtbl.replace t.spec_proc_snap p.Process.pid_global
         (Process.effective_generation p))
     procs;
+  (* File-backed state and the group object are captured at the stop,
+     never mid-execution. *)
   Otrace.with_span ~cat:"ckpt" ~name:"speculate.serialize" (fun () ->
-      ignore (serialize_os t procs ~flush:t.persist ~fs:false ~group_obj:false : int list);
+      List.iter (fun p -> ignore (checkpoint_proc t p)) procs;
+      iter_shm t (fun shm -> ignore (checkpoint_shm t shm));
       spec_account t);
   Otrace.with_span ~cat:"ckpt" ~name:"speculate.harvest" (fun () ->
       List.iter
@@ -1116,31 +1081,37 @@ let speculate t procs spaces =
   refine 0;
   t.spec_phase <- false
 
-(* The validation pass, inside the stop window: capture file-backed state
-   (never speculated), drain the last conflicts, splice the final page
-   set, and restage the group object from stop-time membership.  On a
-   structural change (fork/unmap mid-window) the speculative page staging
-   is discarded wholesale: the normal flush path rewrites every row from
-   the frozen shadows with stop-time content, exactly as stop-the-world
-   would have. *)
-let spec_validate t procs spaces =
+(* The stop-window capture pass: file-backed state (never speculated),
+   the OS objects that moved since the soft window visited them, the
+   final page splices, and the group object from stop-time membership.
+   Stop-the-world is this pass after an empty soft window: it serializes
+   every object and has no harvested pages to splice.  On a structural
+   change (fork/unmap mid-window) the speculative page staging is
+   discarded wholesale: the normal flush path rewrites every row from the
+   frozen shadows with stop-time content, exactly as stop-the-world would
+   have. *)
+let stop_capture t procs spaces =
   harvest_file_dirty t procs;
   (match t.filesystem with
   | Some filesystem when t.persist -> Fs.flush_to_store filesystem
   | Some _ | None -> ());
   ignore (spec_refine_round t procs : int);
-  if List.exists Vm_space.spec_structural spaces then
-    Hashtbl.reset t.spec_pages
-  else ignore (spec_splice_pages t spaces : int);
+  (* Only a soft window's harvest has pages to splice over; without one
+     the speculative dirty plane is never cleared, and draining it would
+     be wasted work. *)
+  if Hashtbl.length t.spec_pages > 0 then
+    if List.exists Vm_space.spec_structural spaces then
+      Hashtbl.reset t.spec_pages
+    else ignore (spec_splice_pages t spaces : int);
   if t.persist then stage_group_obj t ~proc_oids:(List.map (proc_oid t) procs);
   List.iter Vm_space.spec_end spaces;
   Genlog.disarm ()
 
-let checkpoint_common t ~flush ~full ~speculative =
-  let clk = clock t in
-  (* The previous checkpoint must be durable before we start another
-     (section 7: "Aurora waits for a checkpoint to fully persist before
-     initiating another one"). *)
+(* Reset the cycle-scoped state, speculation tables included: a cycle
+   whose soft window stays empty captures everything at the stop.  The
+   previous checkpoint must be durable first (section 7: "Aurora waits
+   for a checkpoint to fully persist before initiating another one"). *)
+let begin_cycle t ~flush ~full =
   if flush then Store.wait_durable t.st;
   t.persist <- flush;
   t.full_cycle <- full;
@@ -1151,9 +1122,46 @@ let checkpoint_common t ~flush ~full ~speculative =
   t.c_conflict_pages <- 0;
   Hashtbl.reset t.seen;
   Hashtbl.reset t.spec_pages;
+  Hashtbl.reset t.spec_thunks;
+  Hashtbl.reset t.spec_proc_snap
+
+(* The cycle's stats: phase timings from the caller, counters from the
+   cycle state, page and byte counts from the store's flush of the epoch.
+   Under speculation the serialize CPU ran on the spare core: its busy
+   time is reported, and the in-stop pass [os_ns] is the validate time. *)
+let cycle_stats t ~flush ~spec ~epoch ~durable_at ~stop_ns ~quiesce_ns ~os_ns
+    ~mark_ns ~flush_ns ~speculate_ns ~pages_flushed =
+  let fstats = if flush then Some (Store.flush_stats t.st) else None in
+  let from_store f = match fstats with Some s -> f s | None -> 0 in
+  {
+    stop_ns;
+    quiesce_ns;
+    os_serialize_ns = (if spec then t.spec_busy_ns else os_ns);
+    mem_mark_ns = mark_ns;
+    flush_ns;
+    pages_flushed;
+    pages_serialized =
+      from_store (fun (f : Store.flush_stats) -> f.fs_pages - f.fs_pages_deduped);
+    pages_deduped = from_store (fun f -> f.fs_pages_deduped);
+    bytes_written = from_store (fun f -> f.fs_bytes_written);
+    epoch;
+    durable_at;
+    flush = fstats;
+    objects_serialized = t.c_serialized;
+    objects_skipped = t.c_skipped;
+    meta_bytes_written = t.c_meta_bytes;
+    speculate_ns;
+    validate_ns = (if spec then os_ns else 0);
+    conflict_objects = (if spec then t.c_serialized - t.c_spec_base else 0);
+    conflict_pages = t.c_conflict_pages;
+  }
+
+let checkpoint_common t ~flush ~full =
+  let clk = clock t in
+  begin_cycle t ~flush ~full;
   (* Speculation needs generation stamps to carry meaning (incremental)
      and a staged image to splice over (flushed). *)
-  let spec = speculative && flush && not full in
+  let spec = t.speculative && flush && not full in
   let epoch = if flush then Store.begin_checkpoint t.st else Store.last_complete_epoch t.st in
   (* The epoch span covers the synchronous work of the cycle: the
      speculation window (phase 0, concurrent with execution), the stop
@@ -1163,61 +1171,60 @@ let checkpoint_common t ~flush ~full ~speculative =
   Otrace.with_span ~cat:"ckpt" ~name:"epoch"
     ~args:[ ("epoch", Otrace.Int epoch); ("flush", Otrace.Int (Bool.to_int flush)) ]
   @@ fun () ->
-  (* 0. Speculate: soft serialize + harvest, concurrently with execution. *)
-  let spec_t0 = Clock.now clk in
-  if spec then begin
-    let procs = persistent_members t in
-    let spaces = List.map (fun p -> p.Process.space) procs in
-    Otrace.with_span ~cat:"ckpt" ~name:"speculate" (fun () ->
-        speculate t procs spaces)
-  end;
-  let speculate_ns = Clock.elapsed_since clk spec_t0 in
+  (* Run one phase inside its span; returns the phase's virtual duration. *)
+  let phase name f =
+    let t0 = Clock.now clk in
+    Otrace.with_span ~cat:"ckpt" ~name f;
+    Clock.elapsed_since clk t0
+  in
+  (* 0. Speculate: soft serialize + harvest, concurrently with execution;
+     stop-the-world leaves this window empty. *)
+  let speculate_ns =
+    if spec then
+      phase "speculate" (fun () ->
+          let procs = persistent_members t in
+          speculate t procs (List.map (fun p -> p.Process.space) procs))
+    else 0
+  in
   (* Membership is re-read at the stop: the soft window may have forked
      or exited processes while the workload ran. *)
   let procs = persistent_members t in
   let spaces = List.map (fun p -> p.Process.space) procs in
   let stop_begin = Clock.now clk in
   (* 1. Quiesce. *)
-  let quiesce_begin = Clock.now clk in
-  Otrace.with_span ~cat:"ckpt" ~name:"quiesce" (fun () ->
-      Machine.quiesce t.mach procs;
-      charge t Cost.orchestrator_barrier);
-  let quiesce_ns = Clock.elapsed_since clk quiesce_begin in
+  let quiesce_ns =
+    phase "quiesce" (fun () ->
+        Machine.quiesce t.mach procs;
+        charge t Cost.orchestrator_barrier)
+  in
   (* 2. Collapse the flushed shadows of the previous epoch. *)
   Otrace.with_span ~cat:"ckpt" ~name:"collapse" (fun () ->
       Hashtbl.iter (fun _ r -> collapse_frozen t r) t.memrecs);
-  (* 3. Serialize OS state (each POSIX object into its own store object),
-     or — under speculation — validate the staged image against what
-     moved during the soft window. *)
-  let os_begin = Clock.now clk in
-  if spec then
-    Otrace.with_span ~cat:"ckpt" ~name:"validate" (fun () ->
-        spec_validate t procs spaces)
-  else
-    ignore
-      (Otrace.with_span ~cat:"ckpt" ~name:"serialize" (fun () ->
-           serialize_os t procs ~flush ~fs:true ~group_obj:true)
-        : int list);
-  let os_ns = Clock.elapsed_since clk os_begin in
-  let validate_ns = if spec then os_ns else 0 in
+  (* 3. Serialize OS state (each POSIX object into its own store object):
+     everything after an empty soft window, or only what moved during
+     it — validating the staged image. *)
+  let os_ns =
+    phase (if spec then "validate" else "serialize") (fun () ->
+        stop_capture t procs spaces)
+  in
   (* 4. System shadowing: freeze the dirty sets, one shadow per writable
      object across the whole group. *)
-  let mark_begin = Clock.now clk in
-  Otrace.with_span ~cat:"ckpt" ~name:"shadow" (fun () ->
-      let to_shadow = mark_targets t spaces in
-      List.iter (fun r -> interpose_shadow t spaces r) to_shadow;
-      (* Chains no mapping writes anymore (e.g. a shadow that became a fork
-         backing mid-epoch) still hold unflushed dirty pages: freeze their
-         immutable top in place so the flush below persists it.  Every active
-         object was just interposed (frozen set), so what remains with a bare
-         shadow top is exactly the inactive set. *)
-      Hashtbl.iter
-        (fun _ r ->
-          if r.frozen = None && r.top != r.logical then r.frozen <- Some r.top)
-        t.memrecs;
-      charge t Cost.tlb_shootdown;
-      charge t Cost.async_flush_setup);
-  let mark_ns = Clock.elapsed_since clk mark_begin in
+  let mark_ns =
+    phase "shadow" (fun () ->
+        let to_shadow = mark_targets t spaces in
+        List.iter (fun r -> interpose_shadow t spaces r) to_shadow;
+        (* Chains no mapping writes anymore (e.g. a shadow that became a fork
+           backing mid-epoch) still hold unflushed dirty pages: freeze their
+           immutable top in place so the flush below persists it.  Every active
+           object was just interposed (frozen set), so what remains with a bare
+           shadow top is exactly the inactive set. *)
+        Hashtbl.iter
+          (fun _ r ->
+            if r.frozen = None && r.top != r.logical then r.frozen <- Some r.top)
+          t.memrecs;
+        charge t Cost.tlb_shootdown;
+        charge t Cost.async_flush_setup)
+  in
   (* 5. Resume: end of the stop window. *)
   Otrace.with_span ~cat:"ckpt" ~name:"resume" (fun () ->
       Machine.resume t.mach procs);
@@ -1267,52 +1274,29 @@ let checkpoint_common t ~flush ~full ~speculative =
   let durable_at =
     if flush then max (Store.durable_at t.st) aio_write_done else Clock.now clk
   in
-  (* Under speculation the serialize CPU ran on the spare core: report
-     its busy time, not the (tiny) validate elapsed. *)
-  let serialize_ns = if spec then t.spec_busy_ns else os_ns in
+  let s =
+    cycle_stats t ~flush ~spec ~epoch ~durable_at ~stop_ns ~quiesce_ns ~os_ns
+      ~mark_ns ~flush_ns ~speculate_ns ~pages_flushed
+  in
   if Ometrics.is_enabled () then begin
     Ometrics.incr m_ckpt_epochs;
-    Ometrics.incr ~by:t.c_serialized m_ckpt_objects;
-    Ometrics.incr ~by:t.c_skipped m_ckpt_skipped;
-    Ometrics.incr ~by:t.c_meta_bytes m_ckpt_meta_bytes;
+    Ometrics.incr ~by:s.objects_serialized m_ckpt_objects;
+    Ometrics.incr ~by:s.objects_skipped m_ckpt_skipped;
+    Ometrics.incr ~by:s.meta_bytes_written m_ckpt_meta_bytes;
     Ometrics.incr ~by:pages_flushed m_ckpt_pages;
     Ometrics.observe_ns h_ckpt_stop stop_ns;
     Ometrics.observe_ns h_ckpt_quiesce quiesce_ns;
-    Ometrics.observe_ns h_ckpt_serialize serialize_ns;
+    Ometrics.observe_ns h_ckpt_serialize s.os_serialize_ns;
     Ometrics.observe_ns h_ckpt_shadow mark_ns;
     Ometrics.observe_ns h_ckpt_flush flush_ns;
     if spec then begin
       Ometrics.observe_ns h_ckpt_speculate speculate_ns;
-      Ometrics.observe_ns h_ckpt_validate validate_ns
+      Ometrics.observe_ns h_ckpt_validate s.validate_ns
     end;
     Ometrics.observe_ns h_ckpt_durable_lag
       (Stdlib.max 0 (durable_at - Clock.now clk))
   end;
-  {
-    stop_ns;
-    quiesce_ns;
-    os_serialize_ns = serialize_ns;
-    mem_mark_ns = mark_ns;
-    flush_ns;
-    pages_flushed;
-    pages_serialized =
-      (if flush then
-         let f = Store.flush_stats t.st in
-         f.fs_pages - f.fs_pages_deduped
-       else 0);
-    pages_deduped = (if flush then (Store.flush_stats t.st).fs_pages_deduped else 0);
-    bytes_written = (if flush then (Store.flush_stats t.st).fs_bytes_written else 0);
-    epoch;
-    durable_at;
-    flush = (if flush then Some (Store.flush_stats t.st) else None);
-    objects_serialized = t.c_serialized;
-    objects_skipped = t.c_skipped;
-    meta_bytes_written = t.c_meta_bytes;
-    speculate_ns;
-    validate_ns;
-    conflict_objects = (if spec then t.c_serialized - t.c_spec_base else 0);
-    conflict_pages = t.c_conflict_pages;
-  }
+  s
 
 (* After a restore, entries point directly at the restored logical
    objects.  Interpose clean shadows so that post-restore writes are
@@ -1330,9 +1314,7 @@ let prepare_after_restore t =
 
 let checkpoint_region t (entry : Vm_map.entry) =
   let clk = clock t in
-  Store.wait_durable t.st;
-  Hashtbl.reset t.seen;
-  t.persist <- true;
+  begin_cycle t ~flush:true ~full:false;
   let epoch = Store.begin_checkpoint t.st in
   let stop_begin = Clock.now clk in
   Otrace.with_span ~cat:"ckpt" ~name:"region" ~args:[ ("epoch", Otrace.Int epoch) ]
@@ -1350,29 +1332,9 @@ let checkpoint_region t (entry : Vm_map.entry) =
   ignore (Store.commit_checkpoint t.st);
   t.last_epoch_committed <- epoch;
   let stop_ns = Clock.elapsed_since clk stop_begin in
-  {
-    stop_ns;
-    quiesce_ns = 0;
-    os_serialize_ns = 0;
-    mem_mark_ns = mark_ns;
-    flush_ns = stop_ns - mark_ns;
-    pages_flushed = pages;
-    pages_serialized =
-      (let f = Store.flush_stats t.st in
-       f.fs_pages - f.fs_pages_deduped);
-    pages_deduped = (Store.flush_stats t.st).fs_pages_deduped;
-    bytes_written = (Store.flush_stats t.st).fs_bytes_written;
-    epoch;
-    durable_at = Store.durable_at t.st;
-    flush = Some (Store.flush_stats t.st);
-    objects_serialized = 0;
-    objects_skipped = 0;
-    meta_bytes_written = 0;
-    speculate_ns = 0;
-    validate_ns = 0;
-    conflict_objects = 0;
-    conflict_pages = 0;
-  }
+  cycle_stats t ~flush:true ~spec:false ~epoch ~durable_at:(Store.durable_at t.st)
+    ~stop_ns ~quiesce_ns:0 ~os_ns:0 ~mark_ns ~flush_ns:(stop_ns - mark_ns)
+    ~speculate_ns:0 ~pages_flushed:pages
 
 (* Memory overcommitment: the unified zero-copy swap path. ------------------ *)
 
@@ -1428,16 +1390,12 @@ let resident_group_pages t =
     (fun acc p -> acc + Vm_space.resident_pages p.Process.space)
     0 (persistent_members t)
 
-let checkpoint ?(wait_durable = false) ?(full = false) ?speculative t =
-  let speculative =
-    match speculative with Some v -> v | None -> t.speculative
-  in
-  let stats = checkpoint_common t ~flush:true ~full ~speculative in
+let checkpoint ?(wait_durable = false) ?(full = false) t =
+  let stats = checkpoint_common t ~flush:true ~full in
   if wait_durable then Store.wait_durable t.st;
   stats
 
-let checkpoint_mem_only t =
-  checkpoint_common t ~flush:false ~full:false ~speculative:false
+let checkpoint_mem_only t = checkpoint_common t ~flush:false ~full:false
 
 let suspend t =
   let stats = checkpoint ~wait_durable:true t in

@@ -103,7 +103,6 @@ val store : t -> Aurora_objstore.Store.t
 val fs : t -> Aurora_fs.Fs.t option
 val clock : t -> Aurora_sim.Clock.t
 val period_ns : t -> int
-val set_period_ns : t -> int -> unit
 
 val members : t -> Aurora_kern.Process.t list
 
@@ -111,17 +110,15 @@ val add_process : t -> Aurora_kern.Process.t -> unit
 val detach_process : t -> Aurora_kern.Process.t -> unit
 (** [sls detach]: the process becomes ephemeral from the next checkpoint. *)
 
-val ext_sync_enabled : t -> bool
 val set_ext_sync : t -> bool -> unit
 
-val speculative_enabled : t -> bool
-
 val set_speculative : t -> bool -> unit
-(** Make speculative soft-quiesce the group's default checkpoint mode
-    (equivalent to passing [~speculative:true] to every {!checkpoint}). *)
+(** The group's checkpoint mode (default [false]): whether each flushed,
+    incremental {!checkpoint} opens a soft window before its stop
+    window.  With [false] the soft window is empty and the cycle is
+    stop-the-world. *)
 
-val checkpoint :
-  ?wait_durable:bool -> ?full:bool -> ?speculative:bool -> t -> ckpt_stats
+val checkpoint : ?wait_durable:bool -> ?full:bool -> t -> ckpt_stats
 (** One full checkpoint cycle.  With [wait_durable] (default false) the
     clock additionally advances until the checkpoint is on stable storage
     ([sls_barrier] semantics).
@@ -135,19 +132,18 @@ val checkpoint :
     [~full:true] forces every object to re-serialize and re-stage (the
     measurement path for Tables 4 and 7, and a safety valve).
 
-    [~speculative:true] (default: the group's {!set_speculative} mode)
-    runs the speculative soft-quiesce cycle: the serialize and harvest
-    work happens {e before} the stop window, concurrent with execution
-    (the workload keeps running through the machine's run hook on the
-    virtual clock), and the stop window shrinks to quiesce + a
-    validation pass that re-copies only what mutated underneath the
-    speculation — conflicts detected through generation stamps, the
-    kernel-object mutation log and the pmap's speculative dirty-bit
-    plane.  The committed image is byte-identical to what a
-    stop-the-world checkpoint at the same stop point would have written.
-    Speculation silently degrades to stop-the-world for [~full:true] and
-    memory-only cycles, where stamps respectively carry no meaning or
-    nothing is staged. *)
+    Every cycle runs one capture pass inside the stop window, after an
+    optional soft window.  In {!set_speculative} mode the soft window
+    serializes and harvests {e before} the stop, concurrent with
+    execution (the workload keeps running through the machine's run hook
+    on the virtual clock), and the stop-window pass re-copies only what
+    mutated underneath it — conflicts detected through generation
+    stamps, the kernel-object mutation log and the pmap's speculative
+    dirty-bit plane.  Stop-the-world is the same cycle with an empty soft
+    window: nothing was speculated, so the stop-window pass serializes
+    every object.  The committed image is byte-identical either way.
+    The soft window stays empty for [~full:true] and memory-only cycles,
+    where stamps respectively carry no meaning or nothing is staged. *)
 
 val checkpoint_mem_only : t -> ckpt_stats
 (** Stop, serialize and shadow, but skip the store flush — the "Mem"
@@ -184,9 +180,6 @@ val run_for : t -> int -> unit
     recent version back from the object store through the VM pager.  The
     same path implements lazy restore. *)
 
-val install_pagers : t -> unit
-(** Attach store-backed pagers to every flushed memory object. *)
-
 val evict_clean_pages : t -> target:int -> int
 (** Evict up to [target] clean resident pages (zero-copy: they are
     already in the store); waits for the covering checkpoint to be
@@ -197,8 +190,6 @@ val resident_group_pages : t -> int
 (** {1 Used by the restore path and the API} *)
 
 val group_oid : t -> int
-val oid_of_desc : t -> Aurora_kern.Fdesc.t -> int option
-val memrec_oid_of_object : t -> Aurora_vm.Vm_object.t -> int option
 val register_restored_memobj :
   t -> oid:int -> Aurora_vm.Vm_object.t -> unit
 (** Seed the group's memory-object table after a restore so subsequent

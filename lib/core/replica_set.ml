@@ -151,7 +151,6 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     st_released = 0;
   }
 
-let standby_count t = Array.length t.standbys
 let quorum t = (Array.length t.standbys / 2) + 1
 let last_logged_epoch t = t.last_logged
 let pclock t = Store.clock (Group.store t.primary)

@@ -78,8 +78,6 @@ val create :
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
 
-val standby_count : t -> int
-
 val quorum : t -> int
 (** ⌈(N+1)/2⌉ — acks needed before an epoch is quorum-committed. *)
 
@@ -217,13 +215,3 @@ val migrate_live :
     target machine restores the verified epoch; downtime is that whole
     tail, measured in virtual time.  [Error] if the target store ends up
     evicted (link too hostile) or the restore fails. *)
-
-val stores_identical :
-  src:Aurora_objstore.Store.t ->
-  src_epoch:int ->
-  dst:Aurora_objstore.Store.t ->
-  dst_epoch:int ->
-  bool
-(** Byte-identity of two checkpoints: equal non-manifest object sets,
-    equal kinds and metadata, equal page CRC sets.  (Manifests are
-    excluded — each store writes its own, naming its local epoch.) *)

@@ -124,10 +124,6 @@ let setsid p =
   p.Process.pgid <- p.Process.pid_local;
   Process.touch p
 
-let setpgid p ~pgid =
-  p.Process.pgid <- pgid;
-  Process.touch p
-
 let kill ?by m ~pid ~signo =
   match Machine.proc_by_local_pid ?scope:by m pid with
   | Some p ->

@@ -1147,7 +1147,6 @@ let set_content_dedup t flag =
   end
 
 let set_compression t flag = t.compress_on <- flag
-let content_index_size t = Hashtbl.length t.content
 
 (* Check the incrementally maintained index against the durable leaves:
    every entry must point at a location some live leaf entry stores the
@@ -1527,7 +1526,6 @@ let prune_history t ~keep =
   end
 
 let blocks_allocated t = t.next_block - Hashtbl.length t.free_set
-let blocks_free t = Hashtbl.length t.free_set
 
 (* Verification ------------------------------------------------------------------------ *)
 

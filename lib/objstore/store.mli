@@ -121,9 +121,6 @@ val set_compression : t -> bool -> unit
 (** Default on.  Off restores the block-per-page layout with full-block
     write charges (benchmark A/B baseline). *)
 
-val content_index_size : t -> int
-(** Distinct content hashes the index currently tracks. *)
-
 val content_index_consistent : t -> bool
 (** Check the incrementally maintained refcounts against a fresh walk of
     the durable leaves: every index entry must be backed by live leaf
@@ -232,4 +229,3 @@ val prune_history : t -> keep:int -> int
 (** Drop the oldest checkpoints beyond [keep]; returns freed blocks. *)
 
 val blocks_allocated : t -> int
-val blocks_free : t -> int

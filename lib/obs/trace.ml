@@ -254,3 +254,57 @@ let export_text () =
           Buffer.add_char b '\n')
     (events ());
   Buffer.contents b
+
+(* Checkpoint epoch accounting ----------------------------------------------- *)
+
+let spans name events =
+  let out = ref [] and stack = ref [] in
+  List.iter
+    (fun e ->
+      match (e.ev_ph, !stack) with
+      | Begin, _ -> stack := (e.ev_name, e.ev_ts) :: !stack
+      | End, (n, t) :: rest ->
+          stack := rest;
+          if n = name then out := (t, e.ev_ts - t) :: !out
+      | (End | Instant | Complete | Counter), _ -> ())
+    events;
+  List.rev !out
+
+let last_epoch events =
+  let start = ref 0 in
+  List.iteri (fun i e -> if e.ev_ph = Begin && e.ev_name = "epoch" then start := i) events;
+  List.filteri (fun i _ -> i >= !start) events
+
+type epoch_phases = {
+  epoch_ns : int;
+  speculate_ns : int;
+  stop_phases_ns : int;
+  flush_ns : int;
+  error : string option;
+}
+
+let epoch_partition ~stop_ns events =
+  let error = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !error = None then error := Some m) fmt in
+  let dur ?(optional = false) name =
+    match spans name events with
+    | [ (_, d) ] -> d
+    | [] when optional -> 0
+    | l ->
+        fail "expected one %s span in the epoch, got %d" name (List.length l);
+        0
+  in
+  let epoch_ns = dur "epoch" and speculate_ns = dur ~optional:true "speculate" in
+  let capture = if spans "speculate" events = [] then "serialize" else "validate" in
+  let stop_phases_ns =
+    List.fold_left (fun acc n -> acc + dur n) 0
+      [ "quiesce"; "collapse"; capture; "shadow"; "resume" ]
+  in
+  let flush_ns = dur ~optional:true "flush" in
+  if stop_ns <> stop_phases_ns then
+    fail "stop phases do not partition the stop window: stop_ns %d <> %d" stop_ns
+      stop_phases_ns;
+  if epoch_ns <> speculate_ns + stop_phases_ns + flush_ns then
+    fail "epoch span %d <> speculate %d + stop %d + flush %d" epoch_ns speculate_ns
+      stop_phases_ns flush_ns;
+  { epoch_ns; speculate_ns; stop_phases_ns; flush_ns; error = !error }

@@ -82,3 +82,27 @@ val export_json : unit -> string
 val export_text : unit -> string
 (** Indented text timeline: one line per event, [Begin]/[End] pairs
     rendered as a nested tree with per-span virtual durations. *)
+
+(** {1 Checkpoint epoch accounting} *)
+
+val spans : string -> event list -> (int * int) list
+(** [(start, duration)] of every completed span named [name]. *)
+
+val last_epoch : event list -> event list
+(** The events from the last [epoch] span's [Begin] onward. *)
+
+type epoch_phases = {
+  epoch_ns : int;
+  speculate_ns : int;  (** 0 when the soft window was empty *)
+  stop_phases_ns : int;  (** sum of the stop window's phase spans *)
+  flush_ns : int;  (** 0 for memory-only cycles *)
+  error : string option;  (** the first identity that fails *)
+}
+
+val epoch_partition : stop_ns:int -> event list -> epoch_phases
+(** Check one checkpoint epoch's phase accounting on its events: the
+    epoch span and each stop-window phase span ([quiesce], [collapse],
+    [validate] after a soft window or [serialize] after an empty one,
+    [shadow], [resume]) occur once, [speculate] and [flush] at most
+    once; the stop phases sum to [stop_ns] and, with speculate and
+    flush, to the epoch span. *)

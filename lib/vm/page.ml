@@ -26,7 +26,6 @@ let alloc_init f =
   { pid = fresh_id (); data = Bytes.init payload_size f; digest = None }
 
 let id t = t.pid
-let payload_length t = Bytes.length t.data
 let copy t = { pid = fresh_id (); data = Bytes.copy t.data; digest = t.digest }
 
 let fold t off =
@@ -58,5 +57,4 @@ let force_digest t =
       d
 
 let content_hash t = fst (force_digest t)
-let comp_class t = snd (force_digest t)
 let fingerprint = content_hash

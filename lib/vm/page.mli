@@ -34,8 +34,6 @@ val alloc_init : (int -> char) -> t
 val id : t -> int
 (** Unique identity; survives moves between VM objects but not copies. *)
 
-val payload_length : t -> int
-
 val copy : t -> t
 (** A fresh page with the same payload (used by COW faults). *)
 
@@ -52,14 +50,7 @@ val load_payload : t -> bytes -> unit
 
 val equal_content : t -> t -> bool
 
-val content_hash : t -> int
+val fingerprint : t -> int
 (** The {!Aurora_util.Hash64} digest of the payload, memoized and
     invalidated on every mutation.  This is the same hash the object
     store's content-addressed page index keys on. *)
-
-val comp_class : t -> Aurora_util.Rle.cls
-(** Compressibility class of the payload (memoized with the hash); the
-    cost model charges flush-path compression time by this class. *)
-
-val fingerprint : t -> int
-(** Alias of {!content_hash}; kept for property tests. *)

@@ -8,7 +8,6 @@ type prot = { read : bool; write : bool; exec : bool }
 
 val prot_rw : prot
 val prot_ro : prot
-val prot_rx : prot
 
 type entry = {
   mutable start_vpn : int;
@@ -41,9 +40,6 @@ val touch_entry : entry -> unit
 val set_excluded : entry -> bool -> unit
 (** Flip the checkpoint-exclusion flag ([sls_mctl]), stamping on change. *)
 
-val set_prot : entry -> prot -> unit
-(** mprotect: change protection bits, stamping on change. *)
-
 val entries : t -> entry list
 (** In ascending address order. *)
 
@@ -70,6 +66,3 @@ val find : t -> int -> entry option
 val find_free_range : t -> npages:int -> int
 (** A free virtual page range of the requested size (simple first-fit above
     the highest mapping). *)
-
-val total_pages : t -> int
-(** Sum of entry sizes (the mapped virtual footprint). *)

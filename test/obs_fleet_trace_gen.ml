@@ -9,7 +9,7 @@
 
    `dune build @obs` diffs the output against obs_fleet_golden.expected;
    refresh after an intentional scheduling change with
-   `dune build @obs-golden-promote --auto-promote`. *)
+   `dune build @obs --auto-promote`. *)
 
 module Fleet = Aurora_core.Fleet
 module Trace = Aurora_obs.Trace

@@ -19,7 +19,7 @@
 
    `dune build @obs` diffs the output against obs_http_golden.expected;
    refresh after an intentional change with
-   `dune build @obs-golden-promote --auto-promote`. *)
+   `dune build @obs --auto-promote`. *)
 
 module Clock = Aurora_sim.Clock
 module Resource = Aurora_sim.Resource
@@ -32,23 +32,6 @@ module Http_sim = Aurora_apps.Http_sim
 
 let fail fmt =
   Printf.ksprintf (fun s -> prerr_endline ("obs_http_trace_gen: " ^ s); exit 1) fmt
-
-let span_durs name events =
-  let durs = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_ph with
-      | Trace.Begin -> stack := (e.Trace.ev_name, e.Trace.ev_ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (n, t) :: rest ->
-              stack := rest;
-              if n = name then durs := (t, e.Trace.ev_ts - t) :: !durs
-          | [] -> ())
-      | _ -> ())
-    events;
-  List.rev !durs
 
 let contains line sub =
   let n = String.length line and m = String.length sub in
@@ -110,35 +93,14 @@ let () =
   if !hook_resps = 0 then fail "no requests served during speculation windows";
   (* Slice to the final (speculative) epoch. *)
   let events = Trace.events () in
-  let last_epoch_start = ref 0 in
-  List.iteri
-    (fun i (e : Trace.event) ->
-      if e.Trace.ev_ph = Trace.Begin && e.Trace.ev_name = "epoch" then
-        last_epoch_start := i)
-    events;
-  let epoch_events = List.filteri (fun i _ -> i >= !last_epoch_start) events in
-  let one name =
-    match span_durs name epoch_events with
-    | [ (t, d) ] -> (t, d)
-    | l ->
-        fail "expected exactly one %s span in the final epoch, got %d" name
-          (List.length l)
+  let epoch_events = Trace.last_epoch events in
+  let ph = Trace.epoch_partition ~stop_ns:stats.Group.stop_ns epoch_events in
+  Option.iter (fail "%s") ph.Trace.error;
+  let spec_t, spec_d =
+    match Trace.spans "speculate" epoch_events with
+    | [ s ] -> s
+    | _ -> fail "final epoch is not speculative"
   in
-  let _, epoch_d = one "epoch" in
-  let spec_t, spec_d = one "speculate" in
-  let _, quiesce_d = one "quiesce" in
-  let _, collapse_d = one "collapse" in
-  let _, validate_d = one "validate" in
-  let _, shadow_d = one "shadow" in
-  let _, resume_d = one "resume" in
-  let _, flush_d = one "flush" in
-  let stop_sum = quiesce_d + collapse_d + validate_d + shadow_d + resume_d in
-  if stats.Group.stop_ns <> stop_sum then
-    fail "stop phases do not partition the stop window: stop_ns %d <> %d"
-      stats.Group.stop_ns stop_sum;
-  if epoch_d <> spec_d + stop_sum + flush_d then
-    fail "epoch span %d <> speculate %d + stop %d + flush %d" epoch_d spec_d
-      stop_sum flush_d;
   (* Every hook request's parse and route span started inside
      ckpt:speculate: the server really was serving while the checkpoint
      serialized. *)
@@ -165,8 +127,8 @@ let () =
     !hook_resps;
   Printf.printf
     "stop partition: quiesce+collapse+validate+shadow+resume = stop_ns = %d ns\n"
-    stop_sum;
-  Printf.printf "epoch = speculate + stop + flush = %d ns\n\n" epoch_d;
+    ph.Trace.stop_phases_ns;
+  Printf.printf "epoch = speculate + stop + flush = %d ns\n\n" ph.Trace.epoch_ns;
   (* The frozen artifact: the full timeline — foreground accepts and
      request spans, then the speculative epoch with hook-served requests
      interleaved into its phases. *)

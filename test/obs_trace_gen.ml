@@ -8,7 +8,7 @@
 
    `dune build @obs` diffs the output against obs_golden.expected.
    After an intentional pipeline change, refresh the fixture with
-   `dune build @obs-golden-promote --auto-promote`. *)
+   `dune build @obs --auto-promote`. *)
 
 module Clock = Aurora_sim.Clock
 module Striped = Aurora_block.Striped

@@ -27,6 +27,7 @@ type world = {
   group : Group.t;
   pipes : (int * int) array;
   socks : (int * int) array;
+  mem : Aurora_vm.Vm_map.entry;
   addr : int;
 }
 
@@ -43,7 +44,7 @@ let make_world ?(npipes = 8) ?(nsocks = 32) () =
   let addr = Vm_space.addr_of_entry mem in
   let group = Sls.attach sys [ p ] in
   ignore (Group.checkpoint ~wait_durable:true group);
-  { sys; m; p; group; pipes; socks; addr }
+  { sys; m; p; group; pipes; socks; mem; addr }
 
 let dirty_everything w =
   Array.iter (fun (_, wr) -> ignore (Syscall.write w.m w.p ~fd:wr "pre")) w.pipes;
@@ -83,6 +84,7 @@ let check_epochs_identical ~what sys e1 e2 =
    forced-full checkpoint taken immediately after. *)
 let test_speculative_identity_with_conflicts () =
   let w = make_world () in
+  Group.set_speculative w.group true;
   dirty_everything w;
   let ops = ref 0 in
   Machine.set_run_hook w.m
@@ -101,7 +103,7 @@ let test_speculative_identity_with_conflicts () =
          Vm_space.touch_write w.p.Process.space
            ~addr:(w.addr + (i mod 32 * Page.logical_size))
            ~len:Page.logical_size));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Alcotest.(check bool) "workload progressed during speculation" true (!ops > 0);
   Alcotest.(check bool) "speculation window has nonzero duration" true
     (c.Group.speculate_ns > 0);
@@ -132,6 +134,7 @@ let test_stw_stats_inert () =
    writes. *)
 let test_respeculated_object_not_skipped () =
   let w = make_world () in
+  Group.set_speculative w.group true;
   ignore (Syscall.write w.m w.p ~fd:(snd w.pipes.(0)) "early");
   dirty_everything w;
   let fired = ref false in
@@ -142,7 +145,7 @@ let test_respeculated_object_not_skipped () =
            fired := true;
            ignore (Syscall.write w.m w.p ~fd:(snd w.pipes.(0)) "late")
          end));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "the mid-window write fired" true !fired;
   Alcotest.(check bool) "conflict set includes the re-written pipe" true
@@ -160,6 +163,7 @@ let test_respeculated_object_not_skipped () =
    stop-the-world checkpoint restores. *)
 let test_unstamped_poke_keeps_speculative_image () =
   let w = make_world () in
+  Group.set_speculative w.group true;
   ignore (Syscall.write w.m w.p ~fd:(snd w.pipes.(0)) "early");
   dirty_everything w;
   let fired = ref false in
@@ -170,7 +174,7 @@ let test_unstamped_poke_keeps_speculative_image () =
            fired := true;
            Pipe.unstamped_poke_for_tests (pipe_of w 0) "poked!"
          end));
-  ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group);
+  ignore (Group.checkpoint ~wait_durable:true w.group);
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "the poke fired mid-window" true !fired;
   let sys', result = Sls.reboot_and_restore w.sys in
@@ -186,12 +190,13 @@ let test_unstamped_poke_keeps_speculative_image () =
    previous epoch. *)
 let test_crash_during_speculation_recovers_previous_epoch () =
   let w = make_world () in
+  Group.set_speculative w.group true;
   let e_prev = Group.last_epoch w.group in
   dirty_everything w;
   let t_mid = ref 0 in
   Machine.set_run_hook w.m
     (Some (fun _ns -> if !t_mid = 0 then t_mid := Clock.now w.m.Machine.clock));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "hook recorded a mid-speculation instant" true
     (!t_mid > 0 && !t_mid < Clock.now w.m.Machine.clock);
@@ -208,11 +213,84 @@ let test_crash_during_speculation_recovers_previous_epoch () =
   Alcotest.(check int) "previous epoch restores cleanly" 1
     (List.length result.Restore.procs)
 
+(* Switching back: speculative epochs with run-hook mutations and a
+   mapped POSIX shm segment, then [set_speculative false].  The next
+   stop-the-world epoch must capture everything on its own — no process
+   snapshot or shm thunk from the last soft window may survive into it —
+   so it matches a forced-full epoch taken right after. *)
+let test_switch_back_to_stop_the_world () =
+  let w = make_world () in
+  let shm_fd = Syscall.shm_open w.m w.p ~name:"/switch" ~npages:4 in
+  let shm_addr = Vm_space.addr_of_entry (Syscall.mmap_shm w.p ~fd:shm_fd) in
+  Group.set_speculative w.group true;
+  let ops = ref 0 in
+  Machine.set_run_hook w.m
+    (Some
+       (fun _ns ->
+         incr ops;
+         let i = !ops in
+         ignore (Syscall.write w.m w.p ~fd:(snd w.pipes.(i mod 4)) "mid");
+         Vm_space.touch_write w.p.Process.space
+           ~addr:(shm_addr + (i mod 4 * Page.logical_size))
+           ~len:Page.logical_size));
+  let last_spec = ref 0 in
+  for _ = 1 to 3 do
+    dirty_everything w;
+    let c = Group.checkpoint ~wait_durable:true w.group in
+    Alcotest.(check bool) "epoch ran a soft window" true (c.Group.speculate_ns > 0);
+    last_spec := c.Group.epoch
+  done;
+  Machine.set_run_hook w.m None;
+  Alcotest.(check bool) "workload progressed during speculation" true (!ops > 0);
+  Group.set_speculative w.group false;
+  (* Kernel objects and shm pages move while the process's own stamp
+     does not: only a capture pass that visits everything reaches them. *)
+  Array.iter (fun (_, wr) -> ignore (Syscall.write w.m w.p ~fd:wr "post")) w.pipes;
+  Vm_space.touch_write w.p.Process.space ~addr:shm_addr ~len:Page.logical_size;
+  let stw = Group.checkpoint ~wait_durable:true w.group in
+  Alcotest.(check int) "stop-the-world epoch has no soft window" 0
+    stw.Group.speculate_ns;
+  let store = w.sys.Sls.store in
+  let rewritten =
+    List.filter
+      (fun (oid, kind) ->
+        kind = Serial.kind_pipe
+        && Store.read_meta store ~epoch:!last_spec ~oid
+           <> Store.read_meta store ~epoch:stw.Group.epoch ~oid)
+      (Store.objects_at store ~epoch:stw.Group.epoch)
+  in
+  Alcotest.(check int) "every pipe written after the switch is re-captured"
+    (Array.length w.pipes) (List.length rewritten);
+  let full = Group.checkpoint ~wait_durable:true ~full:true w.group in
+  check_epochs_identical ~what:"stop-the-world after speculative vs full" w.sys
+    stw.Group.epoch full.Group.epoch
+
+(* sls_memckpt right after a speculative epoch: the region's flush must
+   stage the pages written since, not mistake the region for one the
+   previous cycle's soft window already harvested. *)
+let test_region_after_speculative_epoch () =
+  let w = make_world () in
+  Group.set_speculative w.group true;
+  dirty_everything w;
+  ignore (Group.checkpoint ~wait_durable:true w.group);
+  Vm_space.write_string w.p.Process.space ~addr:w.addr "region after spec";
+  let r = Aurora_core.Api.sls_memckpt w.group w.mem in
+  Aurora_core.Api.sls_barrier w.group;
+  Alcotest.(check bool) "region flushed its dirty page" true
+    (r.Group.pages_serialized >= 1);
+  let _sys', result = Sls.reboot_and_restore w.sys in
+  match result.Restore.procs with
+  | [ p' ] ->
+      Alcotest.(check string) "restored region holds the post-epoch write"
+        "region after spec"
+        (Vm_space.read_string p'.Process.space ~addr:w.addr ~len:17)
+  | _ -> Alcotest.fail "expected 1 restored process"
+
 (* Random traces under speculation: interleave application ops (some from
    inside the soft window via the run hook, including structural
    fork-free map/unmap churn) with speculative checkpoints, then compare
    the final speculative epoch byte-for-byte against a forced-full one.
-   Mirrors test_incremental's trace property with ~speculative:true. *)
+   Mirrors test_incremental's trace property in speculative mode. *)
 
 type op =
   | Pwrite of int * string
@@ -251,6 +329,7 @@ let trace_arb =
 
 let run_spec_trace (ops, structural) =
   let w = make_world ~npipes:4 ~nsocks:8 () in
+  Group.set_speculative w.group true;
   dirty_everything w;
   let hooked = ref 0 in
   Machine.set_run_hook w.m
@@ -285,9 +364,9 @@ let run_spec_trace (ops, structural) =
             ~len:Page.logical_size
       | Sig signo -> ignore (Syscall.kill w.m ~pid:w.p.Process.pid_global ~signo)
       | Ckpt ->
-          ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group))
+          ignore (Group.checkpoint ~wait_durable:true w.group))
     ops;
-  let c1 = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  let c1 = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   let c2 = Group.checkpoint ~wait_durable:true ~full:true w.group in
   if c2.Group.objects_skipped <> 0 then
@@ -340,6 +419,10 @@ let () =
             test_unstamped_poke_keeps_speculative_image;
           Alcotest.test_case "crash mid-speculation recovers previous epoch"
             `Quick test_crash_during_speculation_recovers_previous_epoch;
+          Alcotest.test_case "switch back to stop-the-world" `Quick
+            test_switch_back_to_stop_the_world;
+          Alcotest.test_case "region checkpoint after speculative epoch"
+            `Quick test_region_after_speculative_epoch;
           QCheck_alcotest.to_alcotest spec_trace_property;
         ] );
     ]
