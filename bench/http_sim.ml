@@ -9,7 +9,8 @@
    Emits BENCH_http.json.
 
      dune exec bench/http_sim.exe          # full sweep
-     dune exec bench/http_sim.exe smoke    # tiny CI pass with SLO gates *)
+     dune exec bench/http_sim.exe smoke    # tiny CI pass with SLO gates and
+                                           # the host-cost scaling gate *)
 
 module Http_sim = Aurora_apps.Http_sim
 module Text_table = Aurora_util.Text_table
@@ -209,11 +210,54 @@ let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
     "acceptance: p99 inflation <= 2x at the paper period, speculative p999 \
      >= 3x better than STW at the shortest period"
 
+(* Host-cost scaling gate: a request's host cost must not grow with the
+   number of open connections (kevent_poll walks activated knotes, not
+   every registration).  Allocation is deterministic for a fixed
+   toolchain, so the gate compares minor words per completed request, not
+   wall-clock time.  Keepalive probes are off: their count per request
+   grows with the connection count by design.  Each size runs twice, the
+   second run twice as long, and words/req is the second run's extra
+   allocation per extra request, so the one-off connection set-up cancels
+   out.  The figures are printed only, never written to BENCH_http.json. *)
+let words_per_req ~conns =
+  let measure duration_ns =
+    let cfg =
+      {
+        (base_cfg ~duration_ns ~rate:20_000.0) with
+        Http_sim.conns;
+        period_ns = None;
+        probe_interval_ns = 0;
+      }
+    in
+    let w0 = Gc.minor_words () in
+    let o = Http_sim.run cfg in
+    (Gc.minor_words () -. w0, o.Http_sim.completed)
+  in
+  let w1, c1 = measure 50_000_000 in
+  let w2, c2 = measure 100_000_000 in
+  (w2 -. w1) /. float_of_int (max 1 (c2 - c1))
+
+let scaling_gate ~small ~large =
+  let w_small = words_per_req ~conns:small in
+  let w_large = words_per_req ~conns:large in
+  let ratio = w_large /. w_small in
+  Printf.printf
+    "gate: words/req %.0f at %d conns, %.0f at %d conns: %.2fx (need <= 1.25x)\n"
+    w_small small w_large large ratio;
+  if ratio > 1.25 then begin
+    Printf.eprintf
+      "http-sim: FAIL: words/req grows %.2fx from %d to %d connections (need \
+       <= 1.25x)\n"
+      ratio small large;
+    exit 1
+  end
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: [ "smoke" ] ->
       run ~duration_ns:300_000_000 ~rate:20_000.0 ~conn_sweep:[ 384 ]
-        ~mix_sweep:[ 0.3 ] ~periods:[ 100_000_000; 5_000_000 ]
+        ~mix_sweep:[ 0.3 ] ~periods:[ 100_000_000; 5_000_000 ];
+      scaling_gate ~small:384 ~large:4096
   | _ ->
       run ~duration_ns:400_000_000 ~rate:30_000.0 ~conn_sweep:[ 384; 512 ]
         ~mix_sweep:[ 0.3; 0.7 ] ~periods:[ 100_000_000; 20_000_000; 5_000_000 ]

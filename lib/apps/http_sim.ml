@@ -43,7 +43,6 @@ type t = {
   dynamic_base : int;
   dynamic_pages : int;
   keep_alive_max : int;
-  conns : (int, conn) Hashtbl.t;
   mutable next_conn_id : int;
   mutable served : int;
 }
@@ -87,14 +86,12 @@ let create ~machine ?(workers = 4) ?(static_pages = 64) ?(dynamic_pages = 64)
     dynamic_base;
     dynamic_pages;
     keep_alive_max;
-    conns = Hashtbl.create 64;
     next_conn_id = 0;
     served = 0;
   }
 
 let proc t = t.http_proc
 let served t = t.served
-let live_conns t = Hashtbl.fold (fun _ c n -> if c.c_closed then n else n + 1) t.conns 0
 
 let connect t =
   let cfd = Syscall.socket t.machine t.client_proc Socket.Inet Socket.Tcp in
@@ -118,18 +115,14 @@ let connect t =
     { Kqueue.ident = sfd; filter = Kqueue.Ev_read; flags = 0; udata = 0 };
   let id = t.next_conn_id in
   t.next_conn_id <- id + 1;
-  let c =
-    {
-      c_id = id;
-      c_server_fd = sfd;
-      c_client_fd = cfd;
-      c_buf = Buffer.create 256;
-      c_served = 0;
-      c_closed = false;
-    }
-  in
-  Hashtbl.replace t.conns id c;
-  c
+  {
+    c_id = id;
+    c_server_fd = sfd;
+    c_client_fd = cfd;
+    c_buf = Buffer.create 256;
+    c_served = 0;
+    c_closed = false;
+  }
 
 let request route =
   Printf.sprintf "GET %s HTTP/1.1\r\nHost: aurora\r\nConnection: keep-alive\r\n\r\n"
@@ -243,10 +236,8 @@ let serve_one t c ~now ~head_bytes ?on route =
   t.served <- t.served + 1;
   let closed = c.c_served >= t.keep_alive_max in
   if closed then begin
-    (match (Syscall.fd_exn t.http_proc t.kq_fd).Aurora_kern.Fdesc.kind with
-    | Aurora_kern.Fdesc.Kqueue_fd kq ->
-        Kqueue.deregister kq ~ident:c.c_server_fd ~filter:Kqueue.Ev_read
-    | _ -> assert false);
+    Syscall.kevent_deregister t.http_proc ~fd:t.kq_fd ~ident:c.c_server_fd
+      ~filter:Kqueue.Ev_read;
     Syscall.close t.http_proc c.c_server_fd;
     Syscall.close t.client_proc c.c_client_fd;
     c.c_closed <- true

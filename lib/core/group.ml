@@ -516,15 +516,13 @@ let rec checkpoint_socket t sock =
     ~children:(fun () ->
       (* Even when the socket is clean its buffered SCM_RIGHTS descriptions
          may have mutated independently: visit them. *)
-      List.iter
-        (fun (m : Socket.msg) ->
+      Socket.iter_buffered sock (fun (m : Socket.msg) ->
           List.iter
             (fun desc_id ->
               match Machine.find_description t.mach desc_id with
               | Some d -> ignore (checkpoint_desc t d)
               | None -> ())
-            m.Socket.ctl_fds)
-        (Socket.recv_buffered sock @ Socket.send_buffered sock))
+            m.Socket.ctl_fds))
     ~serialize:(fun () ->
   let buffered_kib = (Socket.buffered_bytes sock + 1023) / 1024 in
   charge t

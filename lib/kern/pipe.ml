@@ -6,6 +6,7 @@ type t = {
   mutable rd_open : bool;
   mutable wr_open : bool;
   mutable gen : int;
+  knl : Kqueue.knlist;
 }
 
 let next_id = ref 0
@@ -18,6 +19,7 @@ let create () =
     rd_open = true;
     wr_open = true;
     gen = 0;
+    knl = Kqueue.knlist ();
   }
 
 let id t = t.pipe_id
@@ -26,11 +28,18 @@ let touch t =
   t.gen <- t.gen + 1;
   Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_pipe ~id:t.pipe_id
 
+let knlist t = t.knl
+
+(* Both ends share one knlist: a write can wake readers, a read writers. *)
+let changed t =
+  touch t;
+  Kqueue.activate t.knl
+
 let write t data =
   let room = capacity - Buffer.length t.buf in
   let n = min room (String.length data) in
   Buffer.add_substring t.buf data 0 n;
-  if n > 0 then touch t;
+  if n > 0 then changed t;
   n
 
 let read t ~len =
@@ -39,7 +48,7 @@ let read t ~len =
   let rest = Buffer.sub t.buf n (Buffer.length t.buf - n) in
   Buffer.clear t.buf;
   Buffer.add_string t.buf rest;
-  if n > 0 then touch t;
+  if n > 0 then changed t;
   out
 
 let buffered t = Buffer.length t.buf
@@ -48,7 +57,7 @@ let peek_all t = Buffer.contents t.buf
 let refill t data =
   Buffer.clear t.buf;
   Buffer.add_string t.buf data;
-  touch t
+  changed t
 
 let close_read t =
   t.rd_open <- false;

@@ -17,6 +17,10 @@ val generation : t -> int
 val touch : t -> unit
 (** Bump the generation stamp explicitly. *)
 
+val knlist : t -> Kqueue.knlist
+(** Knotes watching either end.  [write], [read] and [refill] activate
+    them when the buffer changes. *)
+
 val write : t -> string -> int
 (** Append up to the free space; returns the number of bytes accepted. *)
 

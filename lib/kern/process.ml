@@ -12,6 +12,7 @@ type t = {
   mutable threads : Thread.t list;
   fdtable : (int, Fdesc.t) Hashtbl.t;
   mutable next_fd : int;
+  fd_watch : Kqueue.fd_watch;
   space : Vm_space.t;
   mutable proc_state : state;
   mutable children : int list;
@@ -34,6 +35,7 @@ let create ~clock ~pid ~tid ~ppid ~name =
     threads = [ Thread.create ~tid ];
     fdtable = Hashtbl.create 16;
     next_fd = 0;
+    fd_watch = Kqueue.fd_watch ();
     space = Vm_space.create ~clock;
     proc_state = Alive;
     children = [];
@@ -60,10 +62,14 @@ let set_cwd t path =
   if t.cwd <> path then touch t;
   t.cwd <- path
 
+(* Every slot below [next_fd] is taken, so the scan for the lowest free
+   slot starts there; closing a slot lowers it. *)
 let alloc_fd t desc =
   let rec free n = if Hashtbl.mem t.fdtable n then free (n + 1) else n in
-  let slot = free 0 in
+  let slot = free t.next_fd in
   Hashtbl.replace t.fdtable slot desc;
+  t.next_fd <- slot + 1;
+  Kqueue.slot_changed t.fd_watch ~slot;
   touch t;
   slot
 
@@ -72,6 +78,7 @@ let install_fd_at t slot desc =
   | Some old -> Fdesc.release old
   | None -> ());
   Hashtbl.replace t.fdtable slot desc;
+  Kqueue.slot_changed t.fd_watch ~slot;
   touch t
 
 let fd t slot = Hashtbl.find_opt t.fdtable slot
@@ -82,6 +89,8 @@ let close_fd t slot =
   | Some desc ->
       Fdesc.release desc;
       Hashtbl.remove t.fdtable slot;
+      if slot < t.next_fd then t.next_fd <- slot;
+      Kqueue.slot_changed t.fd_watch ~slot;
       touch t;
       true
 

@@ -22,6 +22,9 @@ type t = {
   mutable threads : Thread.t list;
   fdtable : (int, Fdesc.t) Hashtbl.t;
   mutable next_fd : int;
+      (** lowest-free hint: every slot below it is taken *)
+  fd_watch : Kqueue.fd_watch;
+      (** tells the kqueues this table polls which slots changed *)
   space : Aurora_vm.Vm_space.t;
   mutable proc_state : state;
   mutable children : int list;  (** global pids, newest first *)
@@ -50,7 +53,8 @@ val effective_generation : t -> int
 val set_cwd : t -> string -> unit
 
 val alloc_fd : t -> Fdesc.t -> int
-(** Install a description in the lowest free slot. *)
+(** Install a description in the lowest free slot, scanning from
+    [next_fd]. *)
 
 val install_fd_at : t -> int -> Fdesc.t -> unit
 (** dup2-style: closes whatever was in the slot first. *)

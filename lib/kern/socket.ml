@@ -21,6 +21,7 @@ type t = {
   recvq : msg Queue.t;
   sendq : msg Queue.t;
   mutable gen : int;
+  knl : Kqueue.knlist;
 }
 
 let next_id = ref 0
@@ -40,6 +41,7 @@ let create dom prot =
     recvq = Queue.create ();
     sendq = Queue.create ();
     gen = 0;
+    knl = Kqueue.knlist ();
   }
 
 let id t = t.sock_id
@@ -68,14 +70,19 @@ let set_option t k v =
 let options t = t.opts
 let tcp_state t = t.state
 
+let knlist t = t.knl
+
+(* Which readiness test applies depends on the TCP state. *)
 let set_tcp_state t s =
   t.state <- s;
-  touch t
+  touch t;
+  Kqueue.activate t.knl
 
-let listen t =
-  t.state <- Tcp_listening;
-  touch t
-let accept_enqueue t conn = t.accept_q <- t.accept_q @ [ conn ]
+let listen t = set_tcp_state t Tcp_listening
+
+let accept_enqueue t conn =
+  t.accept_q <- t.accept_q @ [ conn ];
+  Kqueue.activate t.knl
 
 let accept_dequeue t =
   match t.accept_q with
@@ -98,7 +105,8 @@ let send t m =
   match t.sock_peer with
   | Some p ->
       Queue.push m p.recvq;
-      touch p
+      touch p;
+      Kqueue.activate p.knl
   | None ->
       Queue.push m t.sendq;
       touch t
@@ -108,15 +116,21 @@ let recv t =
   (match m with Some _ -> touch t | None -> ());
   m
 
+let recv_pending t = not (Queue.is_empty t.recvq)
 let recv_buffered t = List.of_seq (Queue.to_seq t.recvq)
 let send_buffered t = List.of_seq (Queue.to_seq t.sendq)
+
+let iter_buffered t f =
+  Queue.iter f t.recvq;
+  Queue.iter f t.sendq
 
 let refill t ~recvq ~sendq =
   Queue.clear t.recvq;
   List.iter (fun m -> Queue.push m t.recvq) recvq;
   Queue.clear t.sendq;
   List.iter (fun m -> Queue.push m t.sendq) sendq;
-  touch t
+  touch t;
+  Kqueue.activate t.knl
 
 let buffered_bytes t =
   let sum q = Queue.fold (fun acc m -> acc + String.length m.data) 0 q in

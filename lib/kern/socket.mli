@@ -45,6 +45,11 @@ val remote_addr : t -> addr option
 val set_option : t -> string -> int -> unit
 val options : t -> (string * int) list
 
+val knlist : t -> Kqueue.knlist
+(** Knotes watching this socket.  [send] activates the peer's; an
+    accept-queue arrival, a TCP state change and [refill] activate the
+    socket's own. *)
+
 val tcp_state : t -> tcp_state
 val set_tcp_state : t -> tcp_state -> unit
 
@@ -63,8 +68,17 @@ val send : t -> msg -> unit
     locally in the send buffer. *)
 
 val recv : t -> msg option
+
+val recv_pending : t -> bool
+(** The receive queue is non-empty. *)
+
 val recv_buffered : t -> msg list
 val send_buffered : t -> msg list
+
+val iter_buffered : t -> (msg -> unit) -> unit
+(** Visit the receive queue, then the send queue, oldest first, without
+    copying either. *)
+
 val refill : t -> recvq:msg list -> sendq:msg list -> unit
 
 val buffered_bytes : t -> int

@@ -48,6 +48,7 @@ let fork m p =
       threads = [ Thread.create ~tid ];
       fdtable = Hashtbl.create 16;
       next_fd = 0;
+      fd_watch = Kqueue.fd_watch ();
       space = child_space;
       proc_state = Process.Alive;
       children = [];
@@ -256,26 +257,28 @@ let socketpair m p =
   let db = register m (Fdesc.create (Fdesc.Socket_fd b)) in
   (Process.alloc_fd p da, Process.alloc_fd p db)
 
-(* Find a listening socket bound to [addr] anywhere on the machine. *)
+(* Find a listening socket bound to [addr]'s port: the lowest such slot of
+   the first process, in [procs] table order, that has one.  Scans the fd
+   tables in place, allocating only for a match. *)
 let find_listener m (addr : Socket.addr) =
+  let in_proc (proc : Process.t) =
+    Hashtbl.fold
+      (fun slot d best ->
+        match d.Fdesc.kind with
+        | Fdesc.Socket_fd s
+          when Socket.tcp_state s = Socket.Tcp_listening
+               && (match Socket.local_addr s with
+                  | Some a -> a.Socket.port = addr.Socket.port
+                  | None -> false)
+               && (match best with Some (b, _) -> slot < b | None -> true) ->
+            Some (slot, s)
+        | _ -> best)
+      proc.Process.fdtable None
+  in
   Hashtbl.fold
-    (fun _ proc acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          List.fold_left
-            (fun acc (_, d) ->
-              match (acc, d.Fdesc.kind) with
-              | Some _, _ -> acc
-              | None, Fdesc.Socket_fd s
-                when Socket.tcp_state s = Socket.Tcp_listening
-                     && (match Socket.local_addr s with
-                        | Some a -> a.Socket.port = addr.Socket.port
-                        | None -> false) ->
-                  Some s
-              | None, _ -> None)
-            None (Process.fds proc))
+    (fun _ proc acc -> match acc with Some _ -> acc | None -> in_proc proc)
     m.Machine.procs None
+  |> Option.map snd
 
 let tcp_connect m p ~fd addr =
   syscall m;
@@ -350,45 +353,57 @@ let kqueue m p =
   let desc = register m (Fdesc.create (Fdesc.Kqueue_fd kq)) in
   Process.alloc_fd p desc
 
-(* kevent without a timeout: scan the kqueue's registered slots and
-   return the ones whose ident (an fd slot in the calling process) is
-   ready right now.  Read-readiness means a read would consume data (or
-   accept a pending connection) without blocking; write-readiness means
-   a write would accept bytes.  Event-loop servers (lib/apps/http_sim)
-   dispatch on the returned list. *)
-let kevent_poll m p ~fd =
-  syscall m;
+(* Readiness of one knote against the polling process's fd table: a read
+   would consume data (or accept a pending connection) without blocking, a
+   write would accept bytes.  The knote is hung on the knlist of the
+   object it checked, so that object's next state change re-queues it. *)
+let knote_ready (p : Process.t) kn =
+  let ev = Kqueue.event kn in
+  match Hashtbl.find p.Process.fdtable ev.Kqueue.ident with
+  | exception Not_found ->
+      Kqueue.detach kn;
+      false
+  | desc -> (
+      match (ev.Kqueue.filter, desc.Fdesc.kind) with
+      | Kqueue.Ev_read, Fdesc.Socket_fd s -> (
+          Kqueue.attach kn (Socket.knlist s);
+          match Socket.tcp_state s with
+          | Socket.Tcp_listening -> Socket.accept_queue_length s > 0
+          | Socket.Tcp_established _ | Socket.Tcp_closed -> Socket.recv_pending s)
+      | Kqueue.Ev_read, Fdesc.Pipe_read pipe ->
+          Kqueue.attach kn (Pipe.knlist pipe);
+          Pipe.buffered pipe > 0
+      | Kqueue.Ev_write, Fdesc.Socket_fd s ->
+          Kqueue.attach kn (Socket.knlist s);
+          true
+      | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
+          Kqueue.attach kn (Pipe.knlist pipe);
+          Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity
+      | _ ->
+          Kqueue.detach kn;
+          false)
+
+let kqueue_of p fd =
   match (fd_exn p fd).Fdesc.kind with
-  | Fdesc.Kqueue_fd kq ->
-      List.filter
-        (fun (ev : Kqueue.kevent) ->
-          match Process.fd p ev.Kqueue.ident with
-          | None -> false
-          | Some desc -> (
-              match (ev.Kqueue.filter, desc.Fdesc.kind) with
-              | Kqueue.Ev_read, Fdesc.Socket_fd s -> (
-                  match Socket.tcp_state s with
-                  | Socket.Tcp_listening -> Socket.accept_queue_length s > 0
-                  | Socket.Tcp_established _ | Socket.Tcp_closed ->
-                      Socket.recv_buffered s <> [])
-              | Kqueue.Ev_read, Fdesc.Pipe_read pipe -> Pipe.buffered pipe > 0
-              | Kqueue.Ev_write, Fdesc.Socket_fd _ -> true
-              | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
-                  Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity
-              | _ -> false))
-        (Kqueue.events kq)
+  | Fdesc.Kqueue_fd kq -> kq
   | Fdesc.Vnode_file _ | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ | Fdesc.Socket_fd _
   | Fdesc.Pty_master_fd _ | Fdesc.Pty_slave_fd _ | Fdesc.Shm_fd _
   | Fdesc.Device_fd _ ->
       err "EBADF"
 
-let kevent_register p ~fd ev =
-  match (fd_exn p fd).Fdesc.kind with
-  | Fdesc.Kqueue_fd kq -> Kqueue.register kq ev
-  | Fdesc.Vnode_file _ | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ | Fdesc.Socket_fd _
-  | Fdesc.Pty_master_fd _ | Fdesc.Pty_slave_fd _ | Fdesc.Shm_fd _
-  | Fdesc.Device_fd _ ->
-      err "EBADF"
+(* kevent without a timeout: the ready events among the kqueue's activated
+   knotes, in activation order.  Event-loop servers (lib/apps/http_sim)
+   dispatch on the returned list. *)
+let kevent_poll m p ~fd =
+  syscall m;
+  let kq = kqueue_of p fd in
+  Kqueue.set_poller kq p.Process.fd_watch;
+  Kqueue.poll kq ~ready:(knote_ready p)
+
+let kevent_register p ~fd ev = Kqueue.register (kqueue_of p fd) ev
+
+let kevent_deregister p ~fd ~ident ~filter =
+  Kqueue.deregister (kqueue_of p fd) ~ident ~filter
 
 (* Pseudoterminals --------------------------------------------------------- *)
 

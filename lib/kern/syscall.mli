@@ -80,14 +80,22 @@ val recv_msg : Machine.t -> Process.t -> fd:int -> (string * int list) option
 (** {1 Kqueues} *)
 
 val kqueue : Machine.t -> Process.t -> int
+
 val kevent_register : Process.t -> fd:int -> Kqueue.kevent -> unit
+(** kevent with EV_ADD. *)
+
+val kevent_deregister :
+  Process.t -> fd:int -> ident:int -> filter:Kqueue.filter -> unit
+(** kevent with EV_DELETE. *)
 
 val kevent_poll : Machine.t -> Process.t -> fd:int -> Kqueue.kevent list
 (** kevent with a zero timeout: the registered events whose ident (an fd
     slot in the calling process) is ready — a listening socket with a
     pending connection, an established socket or pipe read end with
     buffered data, a socket or unblocked pipe write end for
-    [Ev_write].  The event-loop HTTP tier dispatches on this. *)
+    [Ev_write].  Only activated knotes are checked, and ready events come
+    back in activation order (see {!Kqueue}).  The event-loop HTTP tier
+    dispatches on this. *)
 
 (** {1 Pseudoterminals} *)
 

@@ -176,6 +176,42 @@ let test_kqueue_register () =
       Alcotest.(check int) "replaced" 999 ev.Kqueue.udata
   | _ -> Alcotest.fail "not a kqueue"
 
+(* Each activation source queues a knote that an earlier poll dequeued. *)
+let test_kqueue_activation () =
+  let m = machine () in
+  let p = Syscall.spawn m ~name:"p" in
+  let kq = Syscall.kqueue m p in
+  let rd, wr = Syscall.pipe m p in
+  let a, b = Syscall.socketpair m p in
+  let reg ident filter =
+    Syscall.kevent_register p ~fd:kq { Kqueue.ident; filter; flags = 0; udata = 0 }
+  in
+  reg rd Kqueue.Ev_read;
+  reg wr Kqueue.Ev_write;
+  reg b Kqueue.Ev_read;
+  let ready () =
+    List.sort compare
+      (List.map
+         (fun (e : Kqueue.kevent) -> e.Kqueue.ident)
+         (Syscall.kevent_poll m p ~fd:kq))
+  in
+  let expect what idents =
+    Alcotest.(check (list int)) what (List.sort compare idents) (ready ())
+  in
+  expect "only the empty pipe's write end" [ wr ];
+  ignore (Syscall.write m p ~fd:wr (String.make Pipe.capacity 'x'));
+  expect "full pipe: readable, not writable" [ rd ];
+  ignore (Syscall.read m p ~fd:rd ~len:1);
+  expect "a read wakes the writer" [ rd; wr ];
+  ignore (Syscall.write m p ~fd:a "ping");
+  expect "send wakes the peer" [ rd; wr; b ];
+  ignore (Syscall.read m p ~fd:b ~len:4);
+  Syscall.close p rd;
+  expect "drained and closed ends drop out" [];
+  Syscall.dup2 p ~src:b ~dst:rd;
+  ignore (Syscall.write m p ~fd:a "pong");
+  expect "a new description at a watched slot" [ rd; b ]
+
 let test_pty_echo_path () =
   let m = machine () in
   let p = Syscall.spawn m ~name:"term" in
@@ -347,8 +383,224 @@ let test_pid_virtualization_lookup () =
   Alcotest.(check bool) "signal via local pid" true
     (Syscall.kill m ~pid:p.Process.pid_local ~signo:15)
 
+
+(* kevent_poll walks only activated knotes.  The reference below is the
+   full scan it replaced: every registration checked against the poller's
+   fd table. *)
+let reference_ready poller kq =
+  List.filter
+    (fun (ev : Kqueue.kevent) ->
+      match Process.fd poller ev.Kqueue.ident with
+      | None -> false
+      | Some desc -> (
+          match (ev.Kqueue.filter, desc.Fdesc.kind) with
+          | Kqueue.Ev_read, Fdesc.Socket_fd s -> (
+              match Socket.tcp_state s with
+              | Socket.Tcp_listening -> Socket.accept_queue_length s > 0
+              | Socket.Tcp_established _ | Socket.Tcp_closed ->
+                  Socket.recv_buffered s <> [])
+          | Kqueue.Ev_read, Fdesc.Pipe_read pipe -> Pipe.buffered pipe > 0
+          | Kqueue.Ev_write, Fdesc.Socket_fd _ -> true
+          | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
+              Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity
+          | _ -> false))
+    (Kqueue.events kq)
+
+let kq_filters = [| Kqueue.Ev_read; Kqueue.Ev_write; Kqueue.Ev_timer |]
+let kq_sizes = [| 1; 100; 40_000; Pipe.capacity |]
+let kq_slots = 6
+
+(* [bool] fields pick the forked child, when there is one, as the process
+   the operation runs in. *)
+type kq_op =
+  | Reg of int * int * int  (** ident, filter, udata *)
+  | Dereg of int * int
+  | Write of bool * int * int  (** slot, size *)
+  | Read of bool * int * int
+  | Connect of bool
+  | Accept of bool
+  | Mk_pipe of bool
+  | Mk_pair of bool
+  | Close of bool * int
+  | Dup2 of bool * int * int
+  | Fork
+  | Switch_poller
+  | Restore
+
+let show_kq_op = function
+  | Reg (i, f, u) -> Printf.sprintf "Reg(%d,%d,%d)" i f u
+  | Dereg (i, f) -> Printf.sprintf "Dereg(%d,%d)" i f
+  | Write (c, s, n) -> Printf.sprintf "Write(%b,%d,%d)" c s kq_sizes.(n)
+  | Read (c, s, n) -> Printf.sprintf "Read(%b,%d,%d)" c s kq_sizes.(n)
+  | Connect c -> Printf.sprintf "Connect(%b)" c
+  | Accept c -> Printf.sprintf "Accept(%b)" c
+  | Mk_pipe c -> Printf.sprintf "Pipe(%b)" c
+  | Mk_pair c -> Printf.sprintf "Socketpair(%b)" c
+  | Close (c, s) -> Printf.sprintf "Close(%b,%d)" c s
+  | Dup2 (c, a, b) -> Printf.sprintf "Dup2(%b,%d,%d)" c a b
+  | Fork -> "Fork"
+  | Switch_poller -> "Switch_poller"
+  | Restore -> "Restore"
+
+let gen_kq_op =
+  let open QCheck.Gen in
+  let slot = int_bound (kq_slots - 1) in
+  let size = int_bound (Array.length kq_sizes - 1) in
+  let filt = int_bound (Array.length kq_filters - 1) in
+  frequency
+    [
+      (5, map3 (fun i f u -> Reg (i, f, u)) slot filt (int_bound 9));
+      (2, map2 (fun i f -> Dereg (i, f)) slot filt);
+      (6, map3 (fun c s n -> Write (c, s, n)) bool slot size);
+      (5, map3 (fun c s n -> Read (c, s, n)) bool slot size);
+      (3, map (fun c -> Connect c) bool);
+      (3, map (fun c -> Accept c) bool);
+      (2, map (fun c -> Mk_pipe c) bool);
+      (2, map (fun c -> Mk_pair c) bool);
+      (3, map2 (fun c s -> Close (c, s)) bool slot);
+      (2, map3 (fun c a b -> Dup2 (c, a, b)) bool slot slot);
+      (1, return Fork);
+      (1, return Switch_poller);
+      (1, return Restore);
+    ]
+
+let arb_kq_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_kq_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) gen_kq_op)
+
+let kq_port = { Socket.host = "0.0.0.0"; port = 80 }
+
+(* Run [ops] on one process (its kqueue at slot 0, a listener at slot 1),
+   polling after every step; false at the first poll that differs from
+   the reference scan. *)
+let kevent_poll_matches_scan ops =
+  let module Sls = Aurora_core.Sls in
+  let module Group = Aurora_core.Group in
+  let module Restore = Aurora_core.Restore in
+  let sys = ref (Sls.boot ()) in
+  let m () = !sys.Sls.machine in
+  let p = ref (Syscall.spawn (m ()) ~name:"srv") in
+  let kq_fd = Syscall.kqueue (m ()) !p in
+  let lfd = Syscall.socket (m ()) !p Socket.Inet Socket.Tcp in
+  Syscall.bind !p ~fd:lfd kq_port;
+  Syscall.listen !p ~fd:lfd;
+  let group = ref (Sls.attach !sys [ !p ]) in
+  let child = ref None in
+  let poll_child = ref false in
+  let target in_child =
+    match !child with Some c when in_child -> c | _ -> !p
+  in
+  let poller () =
+    match !child with Some c when !poll_child -> c | _ -> !p
+  in
+  let quietly f = try f () with Syscall.Err _ -> () in
+  let step = function
+    | Reg (ident, f, udata) ->
+        Syscall.kevent_register !p ~fd:kq_fd
+          { Kqueue.ident; filter = kq_filters.(f); flags = 0; udata }
+    | Dereg (ident, f) ->
+        Syscall.kevent_deregister !p ~fd:kq_fd ~ident ~filter:kq_filters.(f)
+    | Write (c, fd, n) ->
+        quietly (fun () ->
+            ignore (Syscall.write (m ()) (target c) ~fd (String.make kq_sizes.(n) 'w')))
+    | Read (c, fd, n) ->
+        quietly (fun () -> ignore (Syscall.read (m ()) (target c) ~fd ~len:kq_sizes.(n)))
+    | Connect c ->
+        let q = target c in
+        let rec lowest_free n =
+          if Process.fd q n = None then n else lowest_free (n + 1)
+        in
+        let expect = lowest_free 0 in
+        let fd = Syscall.socket (m ()) q Socket.Inet Socket.Tcp in
+        if fd <> expect then failwith "alloc_fd skipped the lowest free slot";
+        ignore (Syscall.tcp_connect (m ()) q ~fd kq_port)
+    | Accept c ->
+        let q = target c in
+        List.iter
+          (fun (fd, d) ->
+            match d.Fdesc.kind with
+            | Fdesc.Socket_fd s when Socket.tcp_state s = Socket.Tcp_listening ->
+                ignore (Syscall.accept (m ()) q ~fd)
+            | _ -> ())
+          (Process.fds q)
+    | Mk_pipe c -> ignore (Syscall.pipe (m ()) (target c))
+    | Mk_pair c -> ignore (Syscall.socketpair (m ()) (target c))
+    | Close (c, fd) -> if fd <> kq_fd then quietly (fun () -> Syscall.close (target c) fd)
+    | Dup2 (c, src, dst) ->
+        if dst <> kq_fd then quietly (fun () -> Syscall.dup2 (target c) ~src ~dst)
+    | Fork -> child := Some (Syscall.fork (m ()) !p)
+    | Switch_poller -> poll_child := not !poll_child
+    | Restore ->
+        ignore (Group.checkpoint ~wait_durable:true !group);
+        let sys', r = Sls.reboot_and_restore !sys in
+        sys := sys';
+        group := r.Restore.group;
+        p := List.hd r.Restore.procs;
+        child := None
+  in
+  let sorted evs = List.sort compare evs in
+  List.for_all
+    (fun op ->
+      step op;
+      let q = poller () in
+      let got = Syscall.kevent_poll (m ()) q ~fd:kq_fd in
+      let kq =
+        match (Syscall.fd_exn q kq_fd).Fdesc.kind with
+        | Fdesc.Kqueue_fd kq -> kq
+        | _ -> assert false
+      in
+      sorted got = sorted (reference_ready q kq))
+    ops
+
+(* The registration order the list model kept: newest first, and a
+   re-registration moves to the front. *)
+type kq_model_op = M_reg of int * int * int | M_dereg of int * int | M_replace
+
+let kq_events_match_list_model ops =
+  let kq = Kqueue.create () in
+  let model = ref [] in
+  let same ident f (e : Kqueue.kevent) =
+    e.Kqueue.ident = ident && e.Kqueue.filter = kq_filters.(f)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | M_reg (ident, f, udata) ->
+          let ev = { Kqueue.ident; filter = kq_filters.(f); flags = 0; udata } in
+          Kqueue.register kq ev;
+          model := ev :: List.filter (fun e -> not (same ident f e)) !model
+      | M_dereg (ident, f) ->
+          Kqueue.deregister kq ~ident ~filter:kq_filters.(f);
+          model := List.filter (fun e -> not (same ident f e)) !model
+      | M_replace ->
+          (* A restore loads the serialized list, here rotated. *)
+          let evs = match !model with [] -> [] | e :: rest -> rest @ [ e ] in
+          Kqueue.replace_events kq evs;
+          model := evs);
+      Kqueue.events kq = !model && Kqueue.event_count kq = List.length !model)
+    ops
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"kevent_poll equals a full readiness scan" ~count:300
+         arb_kq_ops kevent_poll_matches_scan);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"kqueue events keep the list model's order" ~count:200
+         QCheck.(
+           make
+             Gen.(
+               list_size (int_range 1 60)
+                 (frequency
+                    [
+                      (6, map3 (fun i f u -> M_reg (i, f, u)) (int_bound 7) (int_bound 2)
+                            (int_bound 9));
+                      (3, map2 (fun i f -> M_dereg (i, f)) (int_bound 7) (int_bound 2));
+                      (1, return M_replace);
+                    ])))
+         kq_events_match_list_model);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"file offsets track random read/write sequences" ~count:100
          QCheck.(list_of_size (Gen.int_range 1 30) (string_of_size (Gen.int_range 0 50)))
@@ -401,6 +653,7 @@ let () =
           Alcotest.test_case "socketpair" `Quick test_socketpair_messages;
           Alcotest.test_case "SCM_RIGHTS" `Quick test_scm_rights_transfers_descriptor;
           Alcotest.test_case "kqueue" `Quick test_kqueue_register;
+          Alcotest.test_case "kqueue activation" `Quick test_kqueue_activation;
           Alcotest.test_case "pty" `Quick test_pty_echo_path;
           Alcotest.test_case "posix shm" `Quick test_posix_shm_shared_between_processes;
           Alcotest.test_case "sysv shm" `Quick test_sysv_shm;
