@@ -10,8 +10,14 @@
 
      dune exec bench/http_sim.exe          # full sweep
      dune exec bench/http_sim.exe smoke    # tiny CI pass with SLO gates and
-                                           # the host-cost scaling gate *)
+                                           # the host-cost scaling and
+                                           # checkpoint allocation gates *)
 
+module Clock = Aurora_sim.Clock
+module Machine = Aurora_kern.Machine
+module Sls = Aurora_core.Sls
+module Group = Aurora_core.Group
+module Http_load = Aurora_workloads.Http_load
 module Http_sim = Aurora_apps.Http_sim
 module Text_table = Aurora_util.Text_table
 module Units = Aurora_util.Units
@@ -252,12 +258,74 @@ let scaling_gate ~small ~large =
     exit 1
   end
 
+(* Checkpoint allocation gate: a checkpoint's host allocation must scale
+   with what it writes, not with temporaries built per visited object.
+   A short speculative run per size: every connection sees a keepalive
+   and a few requests dirty arena pages before each 10 ms checkpoint, as
+   on a loaded server, so the OS pass serializes every established socket
+   and dirty-checks the rest.  The figure is minor words allocated inside
+   [Group.checkpoint] per object the pass visited (serialized plus
+   skipped), over the epochs after two warm-up epochs.  Allocation is
+   deterministic for a fixed toolchain, so the gate does not flake.  The
+   ceiling is 1.5x what the streamed checkpoint cycle measures (90.0 at
+   384 conns, 83.6 at 4096).  Printed only, never written to
+   BENCH_http.json. *)
+let ckpt_words_ceiling = 135.0
+
+let ckpt_words_per_object ~conns =
+  let sys = Sls.boot () in
+  let machine = sys.Sls.machine in
+  let clk = machine.Machine.clock in
+  let srv = Http_sim.create ~machine () in
+  let slots = Array.init conns (fun _ -> Http_sim.connect srv) in
+  let group = Sls.attach ~period_ns:10_000_000 sys [ Http_sim.proc srv ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Group.set_speculative group true;
+  let words = ref 0.0 and visited = ref 0 in
+  for epoch = 1 to 6 do
+    Array.iter (fun c -> Http_sim.keepalive srv c) slots;
+    for i = 0 to 15 do
+      let c = slots.(i * 7 mod conns) in
+      if not c.Http_sim.c_closed then
+        ignore
+          (Http_sim.feed srv c ~now:(Clock.now clk)
+             (Http_sim.request (Http_load.Dynamic i)))
+    done;
+    Clock.advance clk 10_000_000;
+    let w0 = Gc.minor_words () in
+    let s = Group.checkpoint ~wait_durable:true group in
+    let w = Gc.minor_words () -. w0 in
+    if epoch > 2 then begin
+      words := !words +. w;
+      visited := !visited + s.Group.objects_serialized + s.Group.objects_skipped
+    end
+  done;
+  !words /. float_of_int (max 1 !visited)
+
+let ckpt_alloc_gate ~small ~large =
+  let w_small = ckpt_words_per_object ~conns:small in
+  let w_large = ckpt_words_per_object ~conns:large in
+  let ratio = w_large /. w_small in
+  Printf.printf
+    "gate: checkpoint words/object %.1f at %d conns, %.1f at %d conns: %.2fx \
+     (need <= 1.25x, each <= %.0f)\n"
+    w_small small w_large large ratio ckpt_words_ceiling;
+  let over = List.filter (fun w -> w > ckpt_words_ceiling) [ w_small; w_large ] in
+  if ratio > 1.25 || over <> [] then begin
+    Printf.eprintf
+      "http-sim: FAIL: checkpoint words/object %.1f at %d conns, %.1f at %d \
+       conns (need ratio <= 1.25x, each <= %.0f)\n"
+      w_small small w_large large ckpt_words_ceiling;
+    exit 1
+  end
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: [ "smoke" ] ->
       run ~duration_ns:300_000_000 ~rate:20_000.0 ~conn_sweep:[ 384 ]
         ~mix_sweep:[ 0.3 ] ~periods:[ 100_000_000; 5_000_000 ];
-      scaling_gate ~small:384 ~large:4096
+      scaling_gate ~small:384 ~large:4096;
+      ckpt_alloc_gate ~small:384 ~large:4096
   | _ ->
       run ~duration_ns:400_000_000 ~rate:30_000.0 ~conn_sweep:[ 384; 512 ]
         ~mix_sweep:[ 0.3; 0.7 ] ~periods:[ 100_000_000; 20_000_000; 5_000_000 ]

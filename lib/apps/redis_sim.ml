@@ -36,10 +36,6 @@ let create ~machine ?(client_connections = 240) ~resident_mib () =
 let proc t = t.rd_proc
 let resident_pages t = t.pages
 
-let write_key t i =
-  let addr = t.base + (i mod t.pages * Page.logical_size) in
-  Vm_space.touch_write t.rd_proc.Process.space ~addr ~len:64
-
 type rdb_breakdown = { fork_stop_ns : int; serialize_write_ns : int }
 
 let rdb_save t ~dev =

@@ -38,7 +38,7 @@ let journal_record batch =
       Wire.u64 w key;
       Wire.u32 w size)
     batch;
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let parse_record s =
   let r = Wire.reader (Bytes.of_string s) in

@@ -109,9 +109,11 @@ let write_vec t ~now ~off ~len segments =
         else if rel >= frag_end then scanning := false
         else begin
           let s = max rel frag_off and e = min seg_end frag_end in
+          (* Offsets are kept relative to the device's first fragment,
+             which this fragment's device already has. *)
           if e > s then
             dsegs.(d) <-
-              (dev_off + (s - frag_off), Bytes.sub data (s - rel) (e - s))
+              (dev_off + (s - frag_off) - dstart.(d), Bytes.sub data (s - rel) (e - s))
               :: dsegs.(d);
           if seg_end <= frag_end then begin
             incr c;
@@ -128,7 +130,7 @@ let write_vec t ~now ~off ~len segments =
       if dstart.(d) >= 0 then begin
         let doff = dstart.(d) in
         let dlen = dend.(d) - doff in
-        let local = List.rev_map (fun (o, b) -> (o - doff, b)) dsegs.(d) in
+        let local = List.rev dsegs.(d) in
         let c = Device.submit_extent t.devs.(d) ~now ~off:doff ~len:dlen local in
         if c > !completion then completion := c
       end

@@ -25,7 +25,7 @@ let serialize_objects ~store ~epoch ~pages_of oids =
           Wire.str w (Bytes.to_string payload))
         (pages_of oid))
     oids;
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let serialize ~store ~epoch =
   serialize_objects ~store ~epoch
@@ -142,7 +142,7 @@ let seal frame_of =
   frame_of w;
   let crc = Crc32.of_bytes (Wire.contents w) in
   Wire.u32 w crc;
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let open_sealed ~what parse s =
   if String.length s < 4 then Error (what ^ ": frame too short")

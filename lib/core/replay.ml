@@ -17,7 +17,7 @@ let entry_to_string e =
   | Clock_read v ->
       Wire.u8 w 1;
       Wire.u64 w v);
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let entry_of_string s =
   let r = Wire.reader (Bytes.of_string s) in

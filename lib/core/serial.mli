@@ -178,6 +178,19 @@ val group_of_string : string -> group_image
 val manifest_to_string : manifest_image -> string
 val manifest_of_string : string -> manifest_image
 
+val manifest_of_rows :
+  epoch:int ->
+  exclude:int ->
+  ((int -> string -> int -> int -> int -> unit) -> unit) ->
+  string
+(** [manifest_of_rows ~epoch ~exclude rows] encodes the manifest of
+    [epoch] straight from a row stream: [rows f] calls
+    [f oid kind meta_crc pages pages_crc] once per object in oid order
+    ({!Aurora_objstore.Store.iter_staging_manifest}), and every row but
+    [exclude]'s (the manifest object itself) becomes an entry.  The bytes
+    equal {!manifest_to_string} of the same entries, with the entry count
+    as [i_m_count], and no entry list is built. *)
+
 (** {1 Manifest helpers} *)
 
 val pages_fingerprint : (int * int) list -> int

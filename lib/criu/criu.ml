@@ -151,7 +151,7 @@ let checkpoint machine procs =
   let w = Wire.writer () in
   Wire.str w magic;
   Wire.list w (serialize_proc w) procs;
-  let image = Bytes.to_string (Wire.contents w) in
+  let image = Wire.to_string w in
   Machine.resume machine procs;
   let stop_end = Clock.now clk in
   (* Phase 3: write the image out; no flush (Table 1's caveat). *)

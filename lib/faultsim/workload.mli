@@ -44,7 +44,6 @@ val run_op : runner -> op -> unit
 
 (** {1 Workload generation} *)
 
-val gen_op : Aurora_util.Rng.t -> max_oid:int -> max_pages:int -> op
 val gen_ops : Aurora_util.Rng.t -> n:int -> max_oid:int -> max_pages:int -> op list
 
 val speculative_arm : op list -> op list

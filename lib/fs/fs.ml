@@ -133,14 +133,14 @@ let serialize_namespace t =
       Wire.u64 w ino)
     (Hashtbl.fold (fun p i acc -> (p, i) :: acc) t.names [] |> List.sort compare);
   Wire.u64 w t.next_inode;
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let serialize_vnode_meta vn =
   let w = Wire.writer () in
   Wire.u64 w (Vnode.inode vn);
   Wire.u64 w (Vnode.size vn);
   Wire.u32 w (Vnode.links vn);
-  Bytes.to_string (Wire.contents w)
+  Wire.to_string w
 
 let flush_to_store t =
   if t.namespace_dirty then begin

@@ -117,8 +117,9 @@ let recv t =
   m
 
 let recv_pending t = not (Queue.is_empty t.recvq)
-let recv_buffered t = List.of_seq (Queue.to_seq t.recvq)
-let send_buffered t = List.of_seq (Queue.to_seq t.sendq)
+let buffered q = List.rev (Queue.fold (fun acc m -> m :: acc) [] q)
+let recv_buffered t = buffered t.recvq
+let send_buffered t = buffered t.sendq
 
 let iter_buffered t f =
   Queue.iter f t.recvq;

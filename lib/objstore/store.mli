@@ -165,6 +165,12 @@ val objects_at : t -> epoch:int -> (int * string) list
 (** [(oid, kind)] of every object in the checkpoint. *)
 
 val read_meta : t -> epoch:int -> oid:int -> string
+
+val version_blocks : t -> epoch:int -> (int * int) list
+(** [(oid, first block of its version record)] of every object in the
+    checkpoint, ascending by oid: the table the epoch's checkpoint record
+    lists, for checking the on-device encoding. *)
+
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
 (** All resident pages, charged as device reads. *)
@@ -188,15 +194,17 @@ val staging_manifest_source : t -> (int * string * string * (int * int) list) li
     leaves merged with staged payloads exactly as commit merges them.
     Invalid outside [begin_checkpoint] .. [commit_checkpoint]. *)
 
-val staging_manifest_entries : t -> (int * string * int * int * int) list
-(** [(oid, kind, meta CRC-32, page count, pages fingerprint)] for the same
-    composed state as {!staging_manifest_source}, but summarized and
-    computed incrementally: carried (unchanged) objects come from a
-    manifest-row cache maintained at commit in O(1) each, and staged
-    objects pay only for the leaves their dirty pages touch.  The
+val iter_staging_manifest : t -> (int -> string -> int -> int -> int -> unit) -> unit
+(** [iter_staging_manifest t f] calls [f oid kind meta_crc npages fp] —
+    object id, kind, CRC-32 of its meta, page count and pages fingerprint
+    — once per object of the same composed state as
+    {!staging_manifest_source}, in ascending oid order.  The rows are
+    summarized and computed incrementally: carried (unchanged) objects
+    come from a manifest-row cache maintained at commit in O(1) each, and
+    staged objects pay only for the leaves their dirty pages touch.  The
     fingerprint is the order-independent XOR fold used by
-    [Serial.pages_fingerprint].  Sorted by oid; invalid outside
-    [begin_checkpoint] .. [commit_checkpoint]. *)
+    [Serial.pages_fingerprint].  Invalid outside [begin_checkpoint] ..
+    [commit_checkpoint]. *)
 
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the

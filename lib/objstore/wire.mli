@@ -10,6 +10,14 @@
 type writer
 
 val writer : unit -> writer
+
+val reset : writer -> unit
+(** Empty the writer and keep its storage, so one writer can encode many
+    records in turn. *)
+
+val length : writer -> int
+(** Bytes written since creation or the last {!reset}. *)
+
 val u8 : writer -> int -> unit
 val u32 : writer -> int -> unit
 val u64 : writer -> int -> unit
@@ -19,7 +27,15 @@ val str : writer -> string -> unit
 val list : writer -> ('a -> unit) -> 'a list -> unit
 (** Count-prefixed; the callback writes each element. *)
 
+val set_u32 : writer -> at:int -> int -> unit
+(** Overwrite the u32 already written at byte offset [at]: a count can be
+    written before the items it counts and patched once they are known. *)
+
 val contents : writer -> bytes
+(** A fresh copy of the bytes written. *)
+
+val to_string : writer -> string
+(** The same bytes as {!contents}, as a string (one copy). *)
 
 (** {1 Reading} *)
 

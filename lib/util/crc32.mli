@@ -12,3 +12,10 @@ val of_bytes : ?crc:int -> bytes -> int
 
 val update : int -> bytes -> pos:int -> len:int -> int
 (** Fold a byte range into a running checksum. *)
+
+val update_le : int -> int -> bytes:int -> int
+(** [update_le crc v ~bytes] folds the low [bytes] (at most 8) bytes of
+    [v], little-endian, into a running checksum: the bytes a 32-bit
+    ([~bytes:4]) or 64-bit ([~bytes:8], sign-extended as
+    [Int64.of_int] stores it) field of [v] encodes to, without building
+    them. *)

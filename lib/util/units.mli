@@ -9,11 +9,9 @@ val kib : int
 val mib : int
 val gib : int
 
-val page_size : int
-(** 4096: the page size of the simulated machine. *)
-
 val pages_of_bytes : int -> int
-(** Number of pages covering [bytes], rounding up. *)
+(** Number of 4 KiB pages (the simulated machine's page size) covering
+    [bytes], rounding up. *)
 
 val us : int
 (** Nanoseconds in a microsecond. *)
@@ -21,14 +19,8 @@ val us : int
 val ms : int
 (** Nanoseconds in a millisecond. *)
 
-val sec : int
-(** Nanoseconds in a second. *)
-
-val pp_bytes : Format.formatter -> int -> unit
+val bytes_to_string : int -> string
 (** "4 KiB", "1.5 MiB", "3 GiB", ... *)
 
-val pp_ns : Format.formatter -> int -> unit
-(** "1.7 µs", "4.0 ms", "1.2 s", ... chooses the natural unit. *)
-
-val bytes_to_string : int -> string
 val ns_to_string : int -> string
+(** "1.7 µs", "4.0 ms", "1.2 s", ... chooses the natural unit. *)

@@ -667,6 +667,7 @@ let test_run_for_takes_periodic_checkpoints () =
   let n = List.length (Store.checkpoint_epochs sys.Sls.store) in
   Alcotest.(check bool) (Printf.sprintf "~10 checkpoints (%d)" n) true (n >= 9 && n <= 11)
 
+module Wire = Aurora_objstore.Wire
 module Serial = Aurora_core.Serial
 
 let qcheck_tests =
@@ -931,6 +932,36 @@ let roundtrip_qcheck_tests =
           i_m_entries = entries;
         })
       (fun i -> Serial.manifest_of_string (Serial.manifest_to_string i) = i);
+    (* The summary folds each entry's CRC field by field; pin it against
+       the CRC of a per-entry Wire encoding, the digest replication frames
+       and migration checks have always carried. *)
+    t "manifest summary equals the per-entry encoding digest"
+      QCheck.(
+        small_list
+          (quad (int_bound max_int) small_string (int_bound 0xFFFF_FFFF)
+             (pair (int_bound 0xFFFF_FFFF) (int_bound max_int))))
+      (List.map (fun (oid, kind, meta_crc, (pages, pages_crc)) ->
+           {
+             Serial.i_me_oid = oid;
+             i_me_kind = kind;
+             i_me_meta_crc = meta_crc;
+             i_me_pages = pages;
+             i_me_pages_crc = pages_crc;
+           }))
+      (fun entries ->
+        let reference =
+          List.fold_left
+            (fun acc (e : Serial.manifest_entry) ->
+              let w = Wire.writer () in
+              Wire.u64 w e.Serial.i_me_oid;
+              Wire.str w e.Serial.i_me_kind;
+              Wire.u32 w e.Serial.i_me_meta_crc;
+              Wire.u32 w e.Serial.i_me_pages;
+              Wire.u64 w e.Serial.i_me_pages_crc;
+              acc lxor Aurora_util.Crc32.of_bytes (Wire.contents w))
+            0 entries
+        in
+        Serial.manifest_summary entries = reference);
   ]
 
 (* Hardened parsers: truncation and bit-flips surface [Serial.Malformed],

@@ -161,9 +161,10 @@ let test_manifest_entries_match_reference () =
     Alcotest.(check (list (pair int (pair string (pair int (pair int int))))))
       what
       (List.map (fun (a, b, c, d, e) -> (a, (b, (c, (d, e))))) reference)
-      (List.map
-         (fun (a, b, c, d, e) -> (a, (b, (c, (d, e)))))
-         (Store.staging_manifest_entries store))
+      (let rows = ref [] in
+       Store.iter_staging_manifest store (fun a b c d e ->
+           rows := (a, (b, (c, (d, e)))) :: !rows);
+       List.rev !rows)
   in
   let o1 = Store.alloc_oid store in
   let o2 = Store.alloc_oid store in

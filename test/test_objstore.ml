@@ -3,6 +3,7 @@ module Striped = Aurora_block.Striped
 module Fault = Aurora_block.Fault
 module Wire = Aurora_objstore.Wire
 module Store = Aurora_objstore.Store
+module Serial = Aurora_core.Serial
 
 let payload c = Bytes.make 64 c
 
@@ -412,8 +413,150 @@ let test_read_retry_absorbs_transients () =
      with Fault.Io_error _ -> true);
   Striped.set_fault dev None
 
+
+(* Byte identity of the streamed commit.  The reference encoders below
+   are the list-based ones the store used before it streamed its records
+   in oid order: the checkpoint record is the table's (oid, version block)
+   list sorted by polymorphic compare and written through Wire.list, and
+   the manifest is [Serial.manifest_to_string] of the entries built from
+   [Store.staging_manifest_source]. *)
+let reference_record ~epoch ~prev_block table =
+  let w = Wire.writer () in
+  Wire.u8 w 0xA1;
+  Wire.u64 w epoch;
+  Wire.u64 w prev_block;
+  Wire.list w
+    (fun (oid, vblock) ->
+      Wire.u64 w oid;
+      Wire.u64 w vblock)
+    (List.sort compare table);
+  Wire.contents w
+
+let reference_manifest store ~epoch ~exclude =
+  let entries =
+    Store.staging_manifest_source store
+    |> List.filter (fun (oid, _, _, _) -> oid <> exclude)
+    |> List.map Serial.manifest_entry_of_source
+  in
+  Serial.manifest_to_string
+    { Serial.i_m_epoch = epoch; i_m_count = List.length entries; i_m_entries = entries }
+
+(* The record block the superblock names (in-flight writes included). *)
+let superblock_record_block dev =
+  let r = Wire.reader (Striped.read_nocharge dev ~off:0 ~len:Store.block_size) in
+  ignore (Wire.rstr r);
+  ignore (Wire.ru64 r);
+  Wire.ru64 r
+
+type stream_op =
+  | Put of int * int * int  (** oid slot, kind, meta (0 = empty meta) *)
+  | Pages of int * (int * int) list  (** oid slot, (page index, fill) *)
+  | Commit
+  | Prune of int
+  | Recover
+
+let pp_stream_op = function
+  | Put (o, k, m) -> Printf.sprintf "Put(%d,%d,%d)" o k m
+  | Pages (o, ps) ->
+      Printf.sprintf "Pages(%d,[%s])" o
+        (String.concat ";" (List.map (fun (i, c) -> Printf.sprintf "%d:%d" i c) ps))
+  | Commit -> "Commit"
+  | Prune k -> Printf.sprintf "Prune %d" k
+  | Recover -> "Recover"
+
+let stream_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map3 (fun o k m -> Put (o, k, m)) (int_range 0 5) (int_range 0 2) (int_range 0 6));
+        ( 3,
+          map2
+            (fun o ps -> Pages (o, ps))
+            (int_range 0 5)
+            (list_size (int_range 1 6) (pair (int_range 0 250) (int_range 0 3))) );
+        (3, return Commit);
+        (1, map (fun k -> Prune k) (int_range 1 3));
+        (1, return Recover);
+      ])
+
+(* Run [ops]; at every commit the manifest streamed from
+   [Store.iter_staging_manifest] and the checkpoint record read back off
+   the device must equal the reference encodings. *)
+let streamed_commit_matches_reference ops =
+  let clock = Clock.create () in
+  let dev = Striped.create () in
+  let store = ref (Store.format ~dev ~clock) in
+  let oids = Array.init 6 (fun _ -> Store.alloc_oid !store) in
+  let kinds = [| "sls.socket"; "memory"; "sls.proc" |] in
+  let open_epoch = ref 0 in
+  let ok = ref true in
+  let check what b = if not b then begin ok := false; Printf.printf "mismatch: %s\n" what end in
+  let ensure_open () =
+    if !open_epoch = 0 then open_epoch := Store.begin_checkpoint !store
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | Put (o, k, m) ->
+          ensure_open ();
+          Store.put_object !store ~oid:oids.(o) ~kind:kinds.(k)
+            ~meta:(if m = 0 then "" else String.make (m * 37) (Char.chr (96 + m)))
+      | Pages (o, ps) ->
+          ensure_open ();
+          Store.put_pages !store ~oid:oids.(o)
+            (List.map (fun (idx, c) -> (idx, Bytes.make (16 + (c * 61)) (Char.chr (65 + c)))) ps)
+      | Commit when !open_epoch > 0 ->
+          let epoch = !open_epoch in
+          List.iter
+            (fun exclude ->
+              check "manifest"
+                (Serial.manifest_of_rows ~epoch ~exclude (Store.iter_staging_manifest !store)
+                = reference_manifest !store ~epoch ~exclude))
+            [ 0; oids.(0) ];
+          let prev_block = superblock_record_block dev in
+          ignore (Store.commit_checkpoint !store);
+          open_epoch := 0;
+          let table = Store.version_blocks !store ~epoch in
+          let want = reference_record ~epoch ~prev_block table in
+          let got =
+            Striped.read_nocharge dev
+              ~off:(superblock_record_block dev * Store.block_size)
+              ~len:(Bytes.length want)
+          in
+          check "record" (Bytes.equal got want)
+      | Prune keep when !open_epoch = 0 -> ignore (Store.prune_history !store ~keep)
+      | Recover when !open_epoch = 0 ->
+          Store.wait_durable !store;
+          let last = Store.last_complete_epoch !store in
+          let before = if last = 0 then [] else Store.version_blocks !store ~epoch:last in
+          Striped.crash dev ~now:(Clock.now clock);
+          store := Store.recover ~dev ~clock;
+          check "recovered table"
+            (last = 0 || Store.version_blocks !store ~epoch:last = before)
+      | Commit | Prune _ | Recover -> ())
+    ops;
+  !ok
+
+let test_streamed_commit_metadata_then_pages () =
+  (* An object staged metadata-only for two epochs, then given pages. *)
+  Alcotest.(check bool)
+    "metadata-only epochs, then pages" true
+    (streamed_commit_matches_reference
+       [
+         Put (1, 0, 3); Put (2, 2, 1); Commit; Put (1, 0, 4); Commit;
+         Pages (1, [ (0, 1); (120, 2) ]); Commit; Recover; Pages (1, [ (0, 3) ]);
+         Put (3, 1, 0); Commit; Prune 1; Put (2, 2, 0); Commit;
+       ])
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"streamed record and manifest equal the list-based encodings" ~count:120
+         (QCheck.make
+            ~print:(fun ops -> String.concat " " (List.map pp_stream_op ops))
+            QCheck.Gen.(list_size (int_range 1 40) stream_op_gen))
+         streamed_commit_matches_reference);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"coalesced flush: crash/recover preserves every retained epoch"
@@ -720,6 +863,8 @@ let () =
           Alcotest.test_case "many objects" `Quick test_many_objects_one_checkpoint;
           Alcotest.test_case "journal generations" `Quick test_journal_generation_isolation;
           Alcotest.test_case "prune/crash/recover" `Quick test_prune_then_crash_recover;
+          Alcotest.test_case "streamed commit: metadata, then pages" `Quick
+            test_streamed_commit_metadata_then_pages;
         ] );
       ("properties", qcheck_tests);
     ]

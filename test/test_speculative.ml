@@ -81,11 +81,12 @@ let check_epochs_identical ~what sys e1 e2 =
 (* Tentpole: the soft window makes real application progress (the run
    hook fires), conflicts are detected and re-copied, the stats keep
    their documented invariant, and the image is byte-identical to a
-   forced-full checkpoint taken immediately after. *)
+   forced-full checkpoint taken immediately after.  Three speculative
+   cycles run back to back: re-serialize thunks outlive their cycle, and
+   a later cycle must still resolve its conflicts through them. *)
 let test_speculative_identity_with_conflicts () =
   let w = make_world () in
   Group.set_speculative w.group true;
-  dirty_everything w;
   let ops = ref 0 in
   Machine.set_run_hook w.m
     (Some
@@ -103,14 +104,24 @@ let test_speculative_identity_with_conflicts () =
          Vm_space.touch_write w.p.Process.space
            ~addr:(w.addr + (i mod 32 * Page.logical_size))
            ~len:Page.logical_size));
-  let c = Group.checkpoint ~wait_durable:true w.group in
-  Alcotest.(check bool) "workload progressed during speculation" true (!ops > 0);
-  Alcotest.(check bool) "speculation window has nonzero duration" true
-    (c.Group.speculate_ns > 0);
-  Alcotest.(check bool) "mid-speculation mutations were re-copied" true
-    (c.Group.conflict_objects > 0);
-  Alcotest.(check bool) "stop_ns covers quiesce + validation" true
-    (c.Group.stop_ns >= c.Group.quiesce_ns + c.Group.validate_ns);
+  let speculative_epoch cycle =
+    dirty_everything w;
+    let ops0 = !ops in
+    let c = Group.checkpoint ~wait_durable:true w.group in
+    let what s = Printf.sprintf "cycle %d: %s" cycle s in
+    Alcotest.(check bool) (what "workload progressed during speculation") true
+      (!ops > ops0);
+    Alcotest.(check bool) (what "speculation window has nonzero duration") true
+      (c.Group.speculate_ns > 0);
+    Alcotest.(check bool) (what "mid-speculation mutations were re-copied") true
+      (c.Group.conflict_objects > 0);
+    Alcotest.(check bool) (what "stop_ns covers quiesce + validation") true
+      (c.Group.stop_ns >= c.Group.quiesce_ns + c.Group.validate_ns);
+    c
+  in
+  ignore (speculative_epoch 1);
+  ignore (speculative_epoch 2);
+  let c = speculative_epoch 3 in
   Machine.set_run_hook w.m None;
   let c2 = Group.checkpoint ~wait_durable:true ~full:true w.group in
   Alcotest.(check int) "full cycle skips nothing" 0 c2.Group.objects_skipped;
