@@ -1,5 +1,6 @@
 module Clock = Aurora_sim.Clock
 module Cost = Aurora_sim.Cost
+module Genlog = Aurora_sim.Genlog
 module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
 module Fdesc = Aurora_kern.Fdesc
@@ -484,15 +485,21 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   Hashtbl.iter
     (fun oid (d : Fdesc.t) -> Group.seed_desc_oid group ~desc_id:d.Fdesc.desc_id ~oid)
     ctx.descs;
-  Hashtbl.iter (fun oid p -> Group.seed_sub_oid group ~kind:"pipe" ~id:(Pipe.id p) ~oid) ctx.pipes;
   Hashtbl.iter
-    (fun oid s -> Group.seed_sub_oid group ~kind:"socket" ~id:(Socket.id s) ~oid)
+    (fun oid p -> Group.seed_sub_oid group ~kind:Genlog.kind_pipe ~id:(Pipe.id p) ~oid)
+    ctx.pipes;
+  Hashtbl.iter
+    (fun oid s -> Group.seed_sub_oid group ~kind:Genlog.kind_socket ~id:(Socket.id s) ~oid)
     ctx.sockets;
   Hashtbl.iter
-    (fun oid k -> Group.seed_sub_oid group ~kind:"kqueue" ~id:(Kqueue.id k) ~oid)
+    (fun oid k -> Group.seed_sub_oid group ~kind:Genlog.kind_kqueue ~id:(Kqueue.id k) ~oid)
     ctx.kqueues;
-  Hashtbl.iter (fun oid p -> Group.seed_sub_oid group ~kind:"pty" ~id:(Pty.id p) ~oid) ctx.ptys;
-  Hashtbl.iter (fun oid s -> Group.seed_sub_oid group ~kind:"shm" ~id:(Shm.id s) ~oid) ctx.shms;
+  Hashtbl.iter
+    (fun oid p -> Group.seed_sub_oid group ~kind:Genlog.kind_pty ~id:(Pty.id p) ~oid)
+    ctx.ptys;
+  Hashtbl.iter
+    (fun oid s -> Group.seed_sub_oid group ~kind:Genlog.kind_shm ~id:(Shm.id s) ~oid)
+    ctx.shms;
   (* Memory objects: parents before children so parent links resolve. *)
   let registered = Hashtbl.create 16 in
   let rec register oid obj =
