@@ -35,9 +35,11 @@ let run_one name =
       | "smoke" ->
           (* Tiny-parameter pass over the bench machinery (the bench-smoke
              dune alias): exercises the flush-scale sweep and the micro
-             harness quickly enough for CI. *)
+             harness quickly enough for CI, then the restore-verification
+             allocation gate. *)
           Flush_scale.run ~sizes:[ 256; 1024 ] ();
           Micro.run ();
+          Verify_gate.gate ~small:1_000 ~large:16_000;
           true
       | _ -> false)
 

@@ -10,6 +10,9 @@ let magic = "AURSTRM1"
    [install_verified]), so incremental streams stay page-sized. *)
 let streamable (_, kind) = kind <> Serial.kind_manifest
 
+(* [pages_of oid f] calls [f idx payload] for each page to ship; the page
+   count goes out before the pages and is patched in once they are
+   written, so no page list is built. *)
 let serialize_objects ~store ~epoch ~pages_of oids =
   let w = Wire.writer () in
   Wire.str w magic;
@@ -19,40 +22,46 @@ let serialize_objects ~store ~epoch ~pages_of oids =
       Wire.u64 w oid;
       Wire.str w kind;
       Wire.str w (Store.read_meta store ~epoch ~oid);
-      Wire.list w
-        (fun (idx, payload) ->
+      let at = Wire.length w in
+      Wire.u32 w 0;
+      let n = ref 0 in
+      pages_of oid (fun idx payload ->
           Wire.u32 w idx;
-          Wire.str w (Bytes.to_string payload))
-        (pages_of oid))
+          Wire.str w (Bytes.unsafe_to_string payload);
+          incr n);
+      Wire.set_u32 w ~at !n)
     oids;
   Wire.to_string w
 
 let serialize ~store ~epoch =
   serialize_objects ~store ~epoch
-    ~pages_of:(fun oid -> Store.read_pages store ~epoch ~oid)
+    ~pages_of:(fun oid f -> Store.iter_pages store ~epoch ~oid f)
     (List.filter streamable (Store.objects_at store ~epoch))
 
 (* Page-granular deltas: an object appears if it is new, its metadata
    changed, or some of its pages changed — and only the changed pages are
    shipped (the receiver composes them onto the base it already holds). *)
 let serialize_incremental ~store ~base ~epoch =
-  let base_objects = Store.objects_at store ~epoch:base in
+  let in_base = Hashtbl.create 64 in
+  List.iter
+    (fun (oid, _) -> Hashtbl.replace in_base oid ())
+    (Store.objects_at store ~epoch:base);
   let delta_pages oid =
-    let exists_in_base = List.exists (fun (o, _) -> o = oid) base_objects in
     let current = Store.read_pages store ~epoch ~oid in
-    if not exists_in_base then current
+    if not (Hashtbl.mem in_base oid) then current
     else begin
-      let old = Store.read_pages store ~epoch:base ~oid in
+      let old = Hashtbl.create 64 in
+      Store.iter_pages store ~epoch:base ~oid (Hashtbl.replace old);
       List.filter
         (fun (idx, payload) ->
-          match List.assoc_opt idx old with
+          match Hashtbl.find_opt old idx with
           | Some old_payload -> not (Bytes.equal payload old_payload)
           | None -> true)
         current
     end
   in
-  let changed_meta (oid, _) =
-    (not (List.exists (fun (o, _) -> o = oid) base_objects))
+  let changed_meta oid =
+    (not (Hashtbl.mem in_base oid))
     || Store.read_meta store ~epoch ~oid <> Store.read_meta store ~epoch:base ~oid
   in
   let page_deltas = Hashtbl.create 32 in
@@ -61,11 +70,13 @@ let serialize_incremental ~store ~base ~epoch =
       (fun (oid, _) ->
         let pages = delta_pages oid in
         Hashtbl.replace page_deltas oid pages;
-        pages <> [] || changed_meta (oid, ""))
+        pages <> [] || changed_meta oid)
       (List.filter streamable (Store.objects_at store ~epoch))
   in
   serialize_objects ~store ~epoch
-    ~pages_of:(fun oid -> Option.value ~default:[] (Hashtbl.find_opt page_deltas oid))
+    ~pages_of:(fun oid f ->
+      List.iter (fun (idx, payload) -> f idx payload)
+        (Option.value ~default:[] (Hashtbl.find_opt page_deltas oid)))
     objects
 
 let stream_size s = String.length s

@@ -57,12 +57,10 @@ let meta ctx oid = Store.read_meta ctx.st ~epoch:ctx.epoch ~oid
 (* Memory objects --------------------------------------------------------------- *)
 
 let load_pages ctx oid obj =
-  List.iter
-    (fun (idx, payload) ->
+  Store.iter_pages ctx.st ~epoch:ctx.epoch ~oid (fun idx payload ->
       let page = Page.alloc_sized ~payload:(Bytes.length payload) in
       Page.load_payload page payload;
       Vm_object.insert_page obj idx page)
-    (Store.read_pages ctx.st ~epoch:ctx.epoch ~oid)
 
 let rec memobj ctx oid =
   match Hashtbl.find_opt ctx.memobjs oid with
@@ -541,7 +539,11 @@ let pp_restore_error = function
 (* Check one epoch against its own manifest: every object the manifest
    names must be present with the recorded kind, its metadata and page
    payloads must hash to the recorded CRCs, and the metadata must still
-   parse.  All reads are charged normally but nothing is mutated. *)
+   parse.  All reads are charged normally but nothing is mutated.  The
+   pass is linear: objects are looked up in a table, the page count and
+   fingerprint come from one walk over the leaves, and the deep payload
+   pass streams through [Store.fold_pages], charging every leaf even once
+   a bad page is found and reporting the lowest bad index. *)
 let verify_epoch ~store ~epoch =
   Otrace.with_span ~cat:"restore" ~name:"verify"
     ~args:[ ("epoch", Otrace.Int epoch) ]
@@ -558,33 +560,36 @@ let verify_epoch ~store ~epoch =
             (Printf.sprintf "manifest written for epoch %d, found in epoch %d"
                m.Serial.i_m_epoch epoch)
         else begin
-          let others = List.filter (fun (oid, _) -> oid <> moid) objects in
-          if List.length others <> m.Serial.i_m_count then
+          let kinds = Hashtbl.create (List.length objects) in
+          List.iter
+            (fun (oid, kind) -> if oid <> moid then Hashtbl.replace kinds oid kind)
+            objects;
+          let others = Hashtbl.length kinds in
+          if others <> m.Serial.i_m_count then
             Error
-              (Printf.sprintf "epoch holds %d objects, manifest says %d"
-                 (List.length others) m.Serial.i_m_count)
+              (Printf.sprintf "epoch holds %d objects, manifest says %d" others
+                 m.Serial.i_m_count)
           else begin
             let check (e : Serial.manifest_entry) =
               let oid = e.Serial.i_me_oid in
-              match List.find_opt (fun (o, _) -> o = oid) others with
+              match Hashtbl.find_opt kinds oid with
               | None -> Error (Printf.sprintf "oid %d named but absent" oid)
-              | Some (_, kind) when kind <> e.Serial.i_me_kind ->
+              | Some kind when kind <> e.Serial.i_me_kind ->
                   Error
                     (Printf.sprintf "oid %d is %S, manifest says %S" oid kind
                        e.Serial.i_me_kind)
-              | Some (_, kind) ->
+              | Some kind ->
                   let meta = Store.read_meta store ~epoch ~oid in
                   if Crc32.of_string meta <> e.Serial.i_me_meta_crc then
                     Error (Printf.sprintf "oid %d metadata CRC mismatch" oid)
                   else begin
-                    let crcs = Store.page_crcs store ~epoch ~oid in
-                    if List.length crcs <> e.Serial.i_me_pages then
+                    let npages, fp = Store.page_summary store ~epoch ~oid in
+                    if npages <> e.Serial.i_me_pages then
                       Error
                         (Printf.sprintf "oid %d has %d pages, manifest says %d"
-                           oid (List.length crcs) e.Serial.i_me_pages)
-                    else if
-                      Serial.pages_fingerprint crcs <> e.Serial.i_me_pages_crc
-                    then Error (Printf.sprintf "oid %d page-set fingerprint mismatch" oid)
+                           oid npages e.Serial.i_me_pages)
+                    else if fp <> e.Serial.i_me_pages_crc then
+                      Error (Printf.sprintf "oid %d page-set fingerprint mismatch" oid)
                     else begin
                       match Serial.parse_check ~kind meta with
                       | Error msg ->
@@ -593,18 +598,15 @@ let verify_epoch ~store ~epoch =
                           (* Deep check: the payloads on disk, not just the
                              CRCs the leaves recorded at write time. *)
                           let bad =
-                            List.find_opt
-                              (fun (idx, payload) ->
-                                match List.assoc_opt idx crcs with
-                                | Some crc -> Crc32.of_bytes payload <> crc
-                                | None -> true)
-                              (Store.read_pages store ~epoch ~oid)
+                            Store.fold_pages store ~epoch ~oid ~init:(-1)
+                              (fun bad idx crc payload ->
+                                if (bad < 0 || idx < bad) && Crc32.of_bytes payload <> crc
+                                then idx
+                                else bad)
                           in
-                          (match bad with
-                          | Some (idx, _) ->
-                              Error
-                                (Printf.sprintf "oid %d page %d payload corrupt" oid idx)
-                          | None -> Ok ())
+                          if bad >= 0 then
+                            Error (Printf.sprintf "oid %d page %d payload corrupt" oid bad)
+                          else Ok ()
                     end
                   end
             in
@@ -620,6 +622,9 @@ let verify_epoch ~store ~epoch =
   | Serial.Malformed msg -> Error ("malformed manifest: " ^ msg)
   | Wire.Corrupt msg -> Error ("corrupt manifest encoding: " ^ msg)
   | Store.Corrupt_store msg -> Error ("corrupt store: " ^ msg)
+  | Store.Page_corrupt { idx; _ } ->
+      (* Only a coded stream that does not decode gets here. *)
+      Error (Printf.sprintf "corrupt store: page %d: corrupt coded payload" idx)
   | Failure msg -> Error msg
 
 type verified = {
@@ -662,13 +667,19 @@ let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid
                         vr_skipped = List.rev tried;
                       }
                 | exception
-                    (( Serial.Malformed msg
-                     | Wire.Corrupt msg
-                     | Store.Corrupt_store msg
-                     | Failure msg ) as _e) ->
+                    ( Serial.Malformed msg
+                    | Wire.Corrupt msg
+                    | Store.Corrupt_store msg
+                    | Failure msg ) ->
                     go
                       ({ at_epoch = epoch; at_reason = "restore failed: " ^ msg }
                       :: tried)
-                      rest))
+                      rest
+                | exception Store.Page_corrupt { oid; idx; _ } ->
+                    let reason =
+                      Printf.sprintf "restore failed: oid %d page %d payload corrupt"
+                        oid idx
+                    in
+                    go ({ at_epoch = epoch; at_reason = reason } :: tried) rest))
       in
       go [] epochs

@@ -44,7 +44,9 @@ val restore :
     state reconstruction — memory pages are brought in after the measured
     window, modeling Aurora's lazy restore where the application pages in
     its working set on demand (section 6, "Memory Overcommitment").
-    Contents are identical either way. *)
+    Contents are identical either way.  A page whose stored bytes fail
+    their leaf CRC raises [Store.Page_corrupt]: during the restore when
+    pages are eager, at the page fault that first touches it when lazy. *)
 
 (** {1 Verified restore}
 
@@ -72,7 +74,12 @@ val verify_epoch :
     must exist, its entry set must match the epoch's objects, each
     object's metadata CRC, page count, page-set fingerprint, and on-disk
     page payload CRCs must agree, and the metadata must still parse.
-    Read-only; never raises. *)
+    Checks run per manifest entry in that order, entries in oid order,
+    and the first failure is the reason; for payloads it names the
+    object's lowest bad page, after every leaf of the object was
+    charged.  Linear in objects plus pages: page payloads stream through
+    [Store.fold_pages] and no page list is built.  Read-only; never
+    raises. *)
 
 type verified = {
   vr_result : result;

@@ -669,24 +669,24 @@ let memobj_of_string = hardened kind_memobj memobj_of_string
 let group_of_string = hardened kind_group group_of_string
 let manifest_of_string = hardened kind_manifest manifest_of_string
 
+let parsers =
+  [
+    (kind_proc, fun s -> ignore (proc_of_string s));
+    (kind_fdesc, fun s -> ignore (fdesc_of_string s));
+    (kind_pipe, fun s -> ignore (pipe_of_string s));
+    (kind_socket, fun s -> ignore (socket_of_string s));
+    (kind_kqueue, fun s -> ignore (kqueue_of_string s));
+    (kind_pty, fun s -> ignore (pty_of_string s));
+    (kind_shm, fun s -> ignore (shm_of_string s));
+    (kind_memobj, fun s -> ignore (memobj_of_string s));
+    (kind_group, fun s -> ignore (group_of_string s));
+    (kind_manifest, fun s -> ignore (manifest_of_string s));
+  ]
+
 (* Can [meta] be parsed as a [kind] image?  Restore verification runs this
    over every manifest entry so a corrupt image is rejected *before* the
    restore path starts materializing kernel objects from it. *)
 let parse_check ~kind meta =
-  let parsers =
-    [
-      (kind_proc, fun s -> ignore (proc_of_string s));
-      (kind_fdesc, fun s -> ignore (fdesc_of_string s));
-      (kind_pipe, fun s -> ignore (pipe_of_string s));
-      (kind_socket, fun s -> ignore (socket_of_string s));
-      (kind_kqueue, fun s -> ignore (kqueue_of_string s));
-      (kind_pty, fun s -> ignore (pty_of_string s));
-      (kind_shm, fun s -> ignore (shm_of_string s));
-      (kind_memobj, fun s -> ignore (memobj_of_string s));
-      (kind_group, fun s -> ignore (group_of_string s));
-      (kind_manifest, fun s -> ignore (manifest_of_string s));
-    ]
-  in
   match List.assoc_opt kind parsers with
   | None -> Ok () (* fs.* and raw memory objects have their own parsers *)
   | Some p -> ( try Ok (p meta) with Malformed msg -> Error msg)

@@ -206,9 +206,7 @@ let restore_from_store ~store ~epoch =
         for _ = 1 to links do
           Vnode.link vn
         done;
-        List.iter
-          (fun (idx, payload) -> Vnode.load_page vn idx payload)
-          (Store.read_pages store ~epoch ~oid);
+        Store.iter_pages store ~epoch ~oid (Vnode.load_page vn);
         Vnode.set_size vn size;
         ignore (Vnode.take_dirty vn);
         Hashtbl.replace t.vnodes ino vn;

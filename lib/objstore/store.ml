@@ -16,6 +16,13 @@ let m_store_extents = Ometrics.counter "store.extents"
 let h_store_flush_window = Ometrics.histogram "store.flush_window_ns"
 
 exception Corrupt_store of string
+exception Page_corrupt of { epoch : int; oid : int; idx : int }
+
+let () =
+  Printexc.register_printer (function
+    | Page_corrupt { epoch; oid; idx } ->
+        Some (Printf.sprintf "Store.Page_corrupt: epoch %d oid %d page %d" epoch oid idx)
+    | _ -> None)
 
 let block_size = 4096
 (* 100 entries x 37 bytes + header fits one 4 KiB block. *)
@@ -221,6 +228,11 @@ type t = {
       (* the one writer every version record, checkpoint record and
          superblock is encoded through, reset before each; no encoder
          nests inside another *)
+  mutable marks : int array;
+      (* block -> generation that last stamped it: the visited set of
+         pruning's liveness mark and of the live-leaf walk, reset in O(1)
+         by bumping [mark_gen]; grown to cover [next_block] on demand *)
+  mutable mark_gen : int;
   (* DELIBERATE BUG KNOB, for torture-harness validation only: submit the
      superblock at commit start instead of after the checkpoint record
      completes, breaking the data -> record -> superblock write ordering. *)
@@ -288,6 +300,28 @@ let free_block t b =
   end
 
 let off_of_block b = b * block_size
+
+(* Block marks ------------------------------------------------------------- *)
+
+(* Open a fresh marked set: every block an earlier generation stamped
+   reads as unmarked again. *)
+let new_marks t = t.mark_gen <- t.mark_gen + 1
+
+(* Stamp [b] with the current generation; false when it already was. *)
+let mark t b =
+  let n = Array.length t.marks in
+  if b >= n then begin
+    let a = Array.make (max (b + 1) (max t.next_block (2 * n))) 0 in
+    Array.blit t.marks 0 a 0 n;
+    t.marks <- a
+  end;
+  t.marks.(b) <> t.mark_gen
+  && begin
+       t.marks.(b) <- t.mark_gen;
+       true
+     end
+
+let marked t b = b < Array.length t.marks && t.marks.(b) = t.mark_gen
 
 (* Superblock --------------------------------------------------------------- *)
 
@@ -468,6 +502,8 @@ let fresh dev clk =
     read_backoff = 20_000;
     stat_read_faults = 0;
     rw = Wire.writer ();
+    marks = [||];
+    mark_gen = 0;
     torture_misorder = false;
   }
 
@@ -930,6 +966,20 @@ let build_version t ~now ~prev st =
   if c > !completion then completion := c;
   (!leaves, !completion, !cpu, !fp_delta, !n_delta)
 
+(* Page count and pages fingerprint of a version, from its leaves alone:
+   one walk, no data-block reads, no device charge. *)
+let leaves_summary t leaves =
+  let npages = ref 0 and fp = ref 0 in
+  IntMap.iter
+    (fun _ leaf_blk ->
+      List.iter
+        (fun p ->
+          incr npages;
+          fp := !fp lxor fp_one p.p_idx p.p_crc)
+        (cached_leaf t leaf_blk))
+    leaves;
+  (!npages, !fp)
+
 (* Manifest row of a committed version, from the cache when warm.  The cold
    path (first touch after recovery) walks the version's leaves once and
    memoizes the result. *)
@@ -937,21 +987,13 @@ let committed_row t oid v =
   match Hashtbl.find t.rows oid with
   | r -> r
   | exception Not_found ->
-      let npages = ref 0 and fp = ref 0 in
-      IntMap.iter
-        (fun _ leaf_blk ->
-          List.iter
-            (fun p ->
-              incr npages;
-              fp := !fp lxor fp_one p.p_idx p.p_crc)
-            (cached_leaf t leaf_blk))
-        v.v_leaves;
+      let npages, fp = leaves_summary t v.v_leaves in
       let r =
         {
           r_kind = v.v_kind;
           r_meta_crc = Crc32.of_string v.v_meta;
-          r_npages = !npages;
-          r_fp = !fp;
+          r_npages = npages;
+          r_fp = fp;
         }
       in
       Hashtbl.replace t.rows oid r;
@@ -1161,19 +1203,15 @@ let checkpoint_epochs t = List.map (fun e -> e.e_epoch) t.epochs
 (* Walk every distinct leaf block live in the retained epochs.  Version
    tables share version records across epochs (commit copies the table),
    so the same leaf block appears under several epochs; each is visited
-   once. *)
+   once.  [f] must not walk the marks itself. *)
 let iter_live_leaves t f =
-  let seen = Hashtbl.create 1024 in
+  new_marks t;
   List.iter
     (fun e ->
       Hashtbl.iter
         (fun _ v ->
           IntMap.iter
-            (fun _ leaf_blk ->
-              if not (Hashtbl.mem seen leaf_blk) then begin
-                Hashtbl.replace seen leaf_blk ();
-                f (cached_leaf t leaf_blk)
-              end)
+            (fun _ leaf_blk -> if mark t leaf_blk then f (cached_leaf t leaf_blk))
             v.v_leaves)
         e.e_table)
     t.epochs
@@ -1340,14 +1378,19 @@ let leaf_entries_charged t blk =
       entries
 
 (* Recover a page's original payload from its stored (possibly RLE-coded)
-   bytes; a stream that does not decode cleanly is store corruption, not
-   a programming error — restore verification catches it as such. *)
-let decode_payload p stored =
+   bytes.  A stream that does not decode cleanly is store corruption, not
+   a programming error: it is reported as the page that holds it. *)
+let decode_payload ~epoch ~oid p stored =
   if not p.p_comp then stored
   else
     try Rle.decompress ~olen:p.p_olen stored
-    with Invalid_argument _ ->
-      raise (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx))
+    with Invalid_argument _ -> raise (Page_corrupt { epoch; oid; idx = p.p_idx })
+
+(* The payload a reader may hand out: one whose CRC-32 matches the one the
+   leaf recorded at flush time. *)
+let checked ~epoch ~oid ~idx ~crc payload =
+  if Crc32.of_bytes payload <> crc then raise (Page_corrupt { epoch; oid; idx });
+  payload
 
 let read_page t ~epoch ~oid ~idx =
   let v = version_exn t ~epoch ~oid in
@@ -1368,13 +1411,15 @@ let read_page t ~epoch ~oid ~idx =
           if p.p_comp then
             Clock.advance t.clk
               (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth p.p_olen);
-          Some (decode_payload p stored))
+          Some (checked ~epoch ~oid ~idx ~crc:p.p_crc (decode_payload ~epoch ~oid p stored)))
 
-(* Bulk page reads are issued at depth (restore, migration): charge one
-   leaf I/O plus a streamed read of the pages' stored bytes instead of a
-   full device round trip per page; decompression time is charged once
-   per leaf over the coded pages' original bytes. *)
-let read_pages t ~epoch ~oid =
+(* Bulk page reads are issued at depth (restore, verification, migration):
+   each leaf costs one leaf I/O plus a streamed read of its pages' stored
+   bytes instead of a full device round trip per page, then decompression
+   time over the coded pages' original bytes.  Those three charges are
+   paid leaf by leaf, before any of the leaf's pages reaches [f]; pages
+   arrive in ascending index order. *)
+let fold_pages t ~epoch ~oid ~init f =
   let v = version_exn t ~epoch ~oid in
   IntMap.fold
     (fun _ leaf_blk acc ->
@@ -1396,10 +1441,18 @@ let read_pages t ~epoch ~oid =
               ~off:(off_of_block p.p_blk + p.p_off)
               ~len:p.p_clen
           in
-          (p.p_idx, decode_payload p stored) :: acc)
+          f acc p.p_idx p.p_crc (decode_payload ~epoch ~oid p stored))
         acc entries)
-    v.v_leaves []
-  |> List.sort compare
+    v.v_leaves init
+
+let iter_pages t ~epoch ~oid f =
+  fold_pages t ~epoch ~oid ~init:() (fun () idx crc payload ->
+      f idx (checked ~epoch ~oid ~idx ~crc payload))
+
+let read_pages t ~epoch ~oid =
+  fold_pages t ~epoch ~oid ~init:[] (fun acc idx crc payload ->
+      (idx, checked ~epoch ~oid ~idx ~crc payload) :: acc)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let page_indices t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
@@ -1505,29 +1558,26 @@ let journal_records t j =
 
 (* History ------------------------------------------------------------------------------- *)
 
-(* Every block reachable from one epoch: its checkpoint record, each
-   version record, each leaf, and each data block.  Computed structurally
-   so it is exact even for a store instance rebuilt by recovery. *)
-let reachable_blocks t e =
-  let out = Hashtbl.create 256 in
-  let add_record blk len =
+(* Every block reachable from one epoch, in walk order and possibly more
+   than once: its checkpoint record, each version record, each leaf, and
+   each data block.  Computed structurally so it is exact even for a store
+   instance rebuilt by recovery. *)
+let iter_reachable t e f =
+  let record blk len =
     for i = 0 to blocks_of_len len - 1 do
-      Hashtbl.replace out (blk + i) ()
+      f (blk + i)
     done
   in
-  add_record e.e_record_block (record_len (Hashtbl.length e.e_table));
+  record e.e_record_block (record_len (Hashtbl.length e.e_table));
   Hashtbl.iter
     (fun _ v ->
-      add_record v.v_block (version_len v);
+      record v.v_block (version_len v);
       IntMap.iter
         (fun _ leaf_blk ->
-          Hashtbl.replace out leaf_blk ();
-          List.iter
-            (fun p -> pent_blocks p (fun b -> Hashtbl.replace out b ()))
-            (cached_leaf t leaf_blk))
+          f leaf_blk;
+          List.iter (fun p -> pent_blocks p f) (cached_leaf t leaf_blk))
         v.v_leaves)
-    e.e_table;
-  out
+    e.e_table
 
 let prune_history t ~keep =
   let n = List.length t.epochs in
@@ -1547,23 +1597,26 @@ let prune_history t ~keep =
     in
     (* Mark everything the kept epochs reach, sweep what only the dropped
        epochs reached. *)
-    let live = Hashtbl.create 1024 in
-    List.iter
-      (fun e -> Hashtbl.iter (fun b () -> Hashtbl.replace live b ()) (reachable_blocks t e))
-      kept;
+    new_marks t;
+    List.iter (fun e -> iter_reachable t e (fun b -> ignore (mark t b))) kept;
     (* Deduplicate across the dropped epochs: several of them typically
-       share blocks, and a block must enter the free list exactly once. *)
+       share blocks, and a block must enter the free list exactly once.
+       The sweep frees in this table's iteration order, which depends on
+       the order blocks first enter it (each dropped epoch's own table,
+       iterated); that order fills [free_stack], and alloc_block hands
+       single-block records out of it, so any other order moves blocks
+       and changes virtual time. *)
     let candidates = Hashtbl.create 1024 in
     List.iter
       (fun e ->
-        Hashtbl.iter
-          (fun b () -> Hashtbl.replace candidates b ())
-          (reachable_blocks t e))
+        let reached = Hashtbl.create 256 in
+        iter_reachable t e (fun b -> Hashtbl.replace reached b ());
+        Hashtbl.iter (fun b () -> Hashtbl.replace candidates b ()) reached)
       dropped;
     let freed = ref 0 in
     Hashtbl.iter
       (fun b () ->
-        if not (Hashtbl.mem live b) then begin
+        if not (marked t b) then begin
           (* free_block also invalidates the leaf cache for [b], so a
              reused block can never serve stale parsed entries. *)
           free_block t b;
@@ -1604,6 +1657,8 @@ let page_crcs t ~epoch ~oid =
         acc (cached_leaf t leaf_blk))
     v.v_leaves []
   |> List.sort compare
+
+let page_summary t ~epoch ~oid = leaves_summary t (version_exn t ~epoch ~oid).v_leaves
 
 (* What the open staging epoch will contain once committed: carried
    objects included, with per-page checksums merged the same way
@@ -1764,25 +1819,23 @@ let corrupt_meta_for_tests t ~epoch ~oid =
          table copy; replacing the binding corrupts this epoch only. *)
       Hashtbl.replace e.e_table oid { v with v_meta = meta }
 
-let corrupt_page_for_tests t ~epoch ~oid =
+let corrupt_page_for_tests ?idx ?(byte = 0) t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
+  let wanted p = match idx with None -> true | Some i -> p.p_idx = i in
   let entry =
     IntMap.fold
       (fun _ leaf_blk acc ->
         match acc with
         | Some _ -> acc
-        | None -> ( match cached_leaf t leaf_blk with e :: _ -> Some e | [] -> None))
+        | None -> List.find_opt wanted (cached_leaf t leaf_blk))
       v.v_leaves None
   in
   match entry with
-  | None -> invalid_arg "Store.corrupt_page_for_tests: object has no pages"
+  | None -> invalid_arg "Store.corrupt_page_for_tests: no such page"
+  | Some p when p.p_clen = 0 -> invalid_arg "Store.corrupt_page_for_tests: empty page"
   | Some p ->
-      let garbage =
-        Bytes.init (max p.p_clen 1) (fun i -> Char.chr ((i * 7 + 0xEE) land 0xFF))
-      in
-      let c =
-        Striped.write t.dev ~now:(Clock.now t.clk)
-          ~off:(off_of_block p.p_blk + p.p_off)
-          garbage
-      in
+      let off = off_of_block p.p_blk + p.p_off + (byte mod p.p_clen) in
+      let b = Striped.read_nocharge t.dev ~off ~len:1 in
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
+      let c = Striped.write t.dev ~now:(Clock.now t.clk) ~off b in
       Clock.advance_to t.clk c

@@ -27,6 +27,13 @@ type t
 
 exception Corrupt_store of string
 
+exception Page_corrupt of { epoch : int; oid : int; idx : int }
+(** A stored page whose bytes do not decode, or whose decoded payload does
+    not match the CRC-32 its radix leaf recorded at flush time.  Every read
+    that hands out payloads raises it rather than return wrong bytes:
+    {!read_page}, {!read_pages}, and {!fold_pages} for a coded stream that
+    does not decode.  The check adds no virtual time. *)
+
 val block_size : int
 val leaf_span : int
 (** Pages covered by one radix leaf block. *)
@@ -172,8 +179,30 @@ val version_blocks : t -> epoch:int -> (int * int) list
     lists, for checking the on-device encoding. *)
 
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
+(** One page, charged as a demand read: its leaf, then the page's own
+    stored bytes, then decompression.  [None] when the page is not
+    resident.  Raises {!Page_corrupt} rather than return bytes that fail
+    the leaf's CRC. *)
+
+val fold_pages :
+  t -> epoch:int -> oid:int -> init:'a -> ('a -> int -> int -> bytes -> 'a) -> 'a
+(** [fold_pages t ~epoch ~oid ~init f] folds [f acc idx leaf_crc payload]
+    over every resident page in ascending index order, building nothing in
+    between.  Charges follow the bulk read model leaf by leaf: the leaf's
+    device read, one streamed read of its pages' stored bytes, then the
+    decompression of its coded pages; only then do the leaf's pages reach
+    [f].  The payload is not checked against [leaf_crc]: that is the
+    caller's to do.  A coded stream that does not decode raises
+    {!Page_corrupt} for its page, after its leaf was charged. *)
+
+val iter_pages : t -> epoch:int -> oid:int -> (int -> bytes -> unit) -> unit
+(** [iter_pages t ~epoch ~oid f] calls [f idx payload] for every resident
+    page in ascending index order: {!fold_pages} with every payload
+    checked against its leaf CRC (raising {!Page_corrupt}). *)
+
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
-(** All resident pages, charged as device reads. *)
+(** All resident pages as {!iter_pages} reads them, as a list ascending by
+    index. *)
 
 val page_indices : t -> epoch:int -> oid:int -> int list
 
@@ -187,6 +216,11 @@ val page_indices : t -> epoch:int -> oid:int -> int list
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every resident page, from the leaf
     entries alone (no data-block reads, no device charge). *)
+
+val page_summary : t -> epoch:int -> oid:int -> int * int
+(** [(page count, pages fingerprint)] of the object, from the leaf entries
+    alone like {!page_crcs}: the fingerprint is the XOR fold of
+    [Serial.pages_fingerprint], computed without building the list. *)
 
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
@@ -211,10 +245,14 @@ val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
     given epoch's table (other epochs sharing the version are unharmed) —
     the negative control proving manifest verification detects it. *)
 
-val corrupt_page_for_tests : t -> epoch:int -> oid:int -> unit
-(** TESTING ONLY: overwrite the device block of one of the object's pages
-    with garbage.  Data blocks are shared across epochs by COW, so
-    corrupt a page that the target epoch wrote freshly. *)
+val corrupt_page_for_tests :
+  ?idx:int -> ?byte:int -> t -> epoch:int -> oid:int -> unit
+(** TESTING ONLY: flip one byte of the stored (possibly RLE-coded) bytes of
+    page [idx] (default: the object's lowest resident page), at offset
+    [byte] modulo its stored length (default 0).  Data blocks are shared
+    across epochs by COW and dedup, so every version referencing that
+    stored location sees the damage: corrupt a page that the target epoch
+    wrote freshly. *)
 
 (** {1 Journals} *)
 

@@ -1177,6 +1177,250 @@ let test_verify_epoch_and_fallback () =
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
       | _ -> Alcotest.fail "expected 1 process")
 
+(* Every reason [verify_epoch] gives, one corruption class at a time, on
+   hand-built epochs: object 1 holds raw pages in two leaves, object 2
+   RLE-coded pages, object 3 none.  The strings and the order the checks
+   run in (absent, kind, metadata CRC, page count, fingerprint, parse,
+   payload; entries in oid order) are part of the contract. *)
+
+module Crc32 = Aurora_util.Crc32
+module Striped = Aurora_block.Striped
+
+(* 64 distinct-neighbour bytes: never shrinks under RLE, stored raw. *)
+let raw_page idx = Bytes.init 64 (fun i -> Char.chr ((i * 37 + idx * 11 + 1) land 0xFF))
+
+(* Two runs: stored RLE-coded as (1, idx) (63, 'z'). *)
+let coded_page idx =
+  let b = Bytes.make 64 'z' in
+  Bytes.set b 0 (Char.chr idx);
+  b
+
+let memobj_meta = Serial.memobj_to_string { Serial.i_parent_oid = None; i_anon = true }
+let garbage_meta = "\x01"
+
+let pinned_objects =
+  [
+    (1, Serial.kind_memobj, memobj_meta, List.map (fun i -> (i, raw_page i)) [ 3; 5; 12; 150 ]);
+    (2, Serial.kind_memobj, memobj_meta, List.map (fun i -> (i, coded_page i)) [ 0; 1 ]);
+    (3, Serial.kind_memobj, memobj_meta, []);
+  ]
+
+(* One epoch of [objs] plus [manifests] copies of the manifest [tamper]
+   makes of the honest one; [damage] runs after the commit. *)
+let verify_reason ?(tamper = Fun.id) ?(manifests = 1) ?(damage = fun _ _ -> ())
+    ?(objs = pinned_objects) () =
+  let clock = Clock.create () in
+  let store = Store.format ~dev:(Striped.create ()) ~clock in
+  let epoch = Store.begin_checkpoint store in
+  List.iter
+    (fun (oid, kind, meta, pages) ->
+      Store.put_object store ~oid ~kind ~meta;
+      Store.put_pages store ~oid pages)
+    objs;
+  let entries =
+    List.map
+      (fun (oid, kind, meta, pages) ->
+        Serial.manifest_entry_of_source
+          (oid, kind, meta, List.map (fun (idx, p) -> (idx, Crc32.of_bytes p)) pages))
+      objs
+  in
+  let m =
+    tamper { Serial.i_m_epoch = epoch; i_m_count = List.length objs; i_m_entries = entries }
+  in
+  for k = 0 to manifests - 1 do
+    Store.put_object store ~oid:(9 + k) ~kind:Serial.kind_manifest
+      ~meta:(Serial.manifest_to_string m)
+  done;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  damage store epoch;
+  let t0 = Clock.now clock in
+  let r = match Restore.verify_epoch ~store ~epoch with Ok _ -> "ok" | Error r -> r in
+  (r, Clock.now clock - t0)
+
+let entry oid f (m : Serial.manifest_image) =
+  {
+    m with
+    Serial.i_m_entries =
+      List.map
+        (fun (e : Serial.manifest_entry) -> if e.Serial.i_me_oid = oid then f e else e)
+        m.Serial.i_m_entries;
+  }
+
+let flip ~oid ~idx ~byte store epoch = Store.corrupt_page_for_tests ~idx ~byte store ~epoch ~oid
+
+let test_verify_epoch_reasons () =
+  let check name want ?tamper ?manifests ?damage ?objs () =
+    Alcotest.(check string) name want (fst (verify_reason ?tamper ?manifests ?damage ?objs ()))
+  in
+  let kind_1 e = { e with Serial.i_me_kind = "pipe" } in
+  let pages_1 e = { e with Serial.i_me_pages = e.Serial.i_me_pages + 1 } in
+  let meta_1 store epoch = Store.corrupt_meta_for_tests store ~epoch ~oid:1 in
+  let both f g store epoch =
+    f store epoch;
+    g store epoch
+  in
+  check "healthy" "ok" ();
+  check "no manifest" "no manifest object" ~manifests:0 ();
+  check "two manifests" "several manifest objects" ~manifests:2 ();
+  check "manifest epoch" "manifest written for epoch 7, found in epoch 1"
+    ~tamper:(fun m -> { m with Serial.i_m_epoch = 7 }) ();
+  check "object count" "epoch holds 3 objects, manifest says 4"
+    ~tamper:(fun m -> { m with Serial.i_m_count = 4 }) ();
+  check "absent oid" "oid 4 named but absent"
+    ~tamper:(entry 3 (fun e -> { e with Serial.i_me_oid = 4 })) ();
+  check "kind"
+    (Printf.sprintf "oid 1 is %S, manifest says %S" Serial.kind_memobj "pipe")
+    ~tamper:(entry 1 kind_1) ();
+  check "metadata CRC" "oid 1 metadata CRC mismatch" ~damage:meta_1 ();
+  check "page count" "oid 1 has 4 pages, manifest says 5" ~tamper:(entry 1 pages_1) ();
+  check "fingerprint" "oid 1 page-set fingerprint mismatch"
+    ~tamper:(entry 1 (fun e -> { e with Serial.i_me_pages_crc = e.Serial.i_me_pages_crc lxor 1 }))
+    ();
+  let parse_msg =
+    match Serial.parse_check ~kind:Serial.kind_memobj garbage_meta with
+    | Error msg -> msg
+    | Ok () -> Alcotest.fail "garbage metadata parsed"
+  in
+  check "unparseable metadata"
+    ("oid 3 metadata unparseable: " ^ parse_msg)
+    ~objs:
+      (List.map
+         (fun (oid, kind, meta, pages) ->
+           (oid, kind, (if oid = 3 then garbage_meta else meta), pages))
+         pinned_objects)
+    ();
+  check "raw payload" "oid 1 page 12 payload corrupt" ~damage:(flip ~oid:1 ~idx:12 ~byte:5) ();
+  check "coded payload decodes wrong" "oid 2 page 1 payload corrupt"
+    ~damage:(flip ~oid:2 ~idx:1 ~byte:1) ();
+  check "coded payload does not decode" "corrupt store: page 1: corrupt coded payload"
+    ~damage:(flip ~oid:2 ~idx:1 ~byte:0) ();
+  (match
+     Restore.verify_epoch
+       ~store:(Store.format ~dev:(Striped.create ()) ~clock:(Clock.create ()))
+       ~epoch:99
+   with
+  | Error r -> Alcotest.(check string) "unknown epoch" "corrupt store: unknown epoch 99" r
+  | Ok _ -> Alcotest.fail "unknown epoch verified");
+  (* Two bad pages of one object: the lower index is reported, across
+     leaves and within one. *)
+  check "lowest bad page across leaves" "oid 1 page 5 payload corrupt"
+    ~damage:(both (flip ~oid:1 ~idx:150 ~byte:0) (flip ~oid:1 ~idx:5 ~byte:9))
+    ();
+  check "lowest bad page within a leaf" "oid 1 page 3 payload corrupt"
+    ~damage:(both (flip ~oid:1 ~idx:12 ~byte:0) (flip ~oid:1 ~idx:3 ~byte:9))
+    ();
+  (* A stream that does not decode stops the pass, even past a lower
+     page whose bytes merely mismatch. *)
+  check "undecodable beats lower mismatch" "corrupt store: page 1: corrupt coded payload"
+    ~damage:(both (flip ~oid:2 ~idx:0 ~byte:1) (flip ~oid:2 ~idx:1 ~byte:0))
+    ();
+  (* Order: one entry failing several checks reports the earliest; the
+     first failing entry in oid order wins. *)
+  check "kind before metadata CRC"
+    (Printf.sprintf "oid 1 is %S, manifest says %S" Serial.kind_memobj "pipe")
+    ~tamper:(entry 1 kind_1) ~damage:meta_1 ();
+  check "metadata CRC before payload" "oid 1 metadata CRC mismatch"
+    ~damage:(both meta_1 (flip ~oid:1 ~idx:3 ~byte:0))
+    ();
+  check "page count before payload" "oid 1 has 4 pages, manifest says 5"
+    ~tamper:(entry 1 pages_1)
+    ~damage:(flip ~oid:1 ~idx:3 ~byte:0)
+    ();
+  check "first entry first" "oid 1 page 3 payload corrupt"
+    ~tamper:(entry 2 (fun e -> { e with Serial.i_me_kind = "pipe" }))
+    ~damage:(flip ~oid:1 ~idx:3 ~byte:0)
+    ();
+  (* Every leaf of the object is charged even once a bad page is known:
+     with object 1 alone, a bad page in its first leaf costs what a
+     healthy pass does.  Both stores take the same two device writes
+     (flipping a byte twice restores it), so the device queues match
+     going in. *)
+  let objs = [ List.hd pinned_objects ] in
+  let first = flip ~oid:1 ~idx:3 ~byte:0 in
+  let healthy, healthy_ns = verify_reason ~objs ~damage:(both first first) () in
+  let _, damaged_ns =
+    verify_reason ~objs ~damage:(both first (flip ~oid:1 ~idx:3 ~byte:1)) ()
+  in
+  Alcotest.(check string) "a byte flipped twice is intact" "ok" healthy;
+  Alcotest.(check int) "a bad page costs the same virtual time" healthy_ns damaged_ns
+
+(* One flipped byte of one stored page, raw or RLE-coded: every reader of
+   that page raises the store's typed error naming it, and never hands
+   out wrong bytes.  Readers: the demand read ([Store.read_page]) and the
+   lazy restore's page fault on it, eager restore, [verify_epoch] (and so
+   verified restore), and migration. *)
+let prop_flipped_byte_is_typed (n, coded_mask, victim, byte) =
+  (* Ranges folded in here, so shrinking stays inside them. *)
+  let npages = 1 + (n mod 12) in
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages in
+  let content pg = if coded_mask land (1 lsl pg) <> 0 then coded_page pg else raw_page pg in
+  for pg = 0 to npages - 1 do
+    Vm_space.write_string p.Process.space
+      ~addr:(addr + (pg * Page.logical_size))
+      (Bytes.to_string (content pg))
+  done;
+  ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+  let store = sys.Sls.store in
+  let epoch = Store.last_complete_epoch store in
+  let oid =
+    match
+      List.filter
+        (fun (oid, kind) ->
+          kind = Serial.kind_memobj && Store.page_indices store ~epoch ~oid <> [])
+        (Store.objects_at store ~epoch)
+    with
+    | [ (oid, _) ] -> oid
+    | _ -> QCheck.Test.fail_report "expected one memory object with pages"
+  in
+  if Store.page_indices store ~epoch ~oid <> List.init npages Fun.id then
+    QCheck.Test.fail_report "pages not at their mapping offsets";
+  let victim = victim mod npages in
+  Store.corrupt_page_for_tests ~idx:victim ~byte store ~epoch ~oid;
+  let typed name f =
+    match f () with
+    | exception Store.Page_corrupt { epoch = e; oid = o; idx } when e = epoch && o = oid ->
+        if idx <> victim then QCheck.Test.fail_reportf "%s blamed page %d" name idx
+    | exception e -> QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+    | _ -> QCheck.Test.fail_reportf "%s returned" name
+  in
+  typed "demand read" (fun () -> Store.read_page store ~epoch ~oid ~idx:victim);
+  typed "eager restore" (fun () ->
+      Restore.restore ~machine:(Machine.create ()) ~store ~epoch ());
+  typed "migration" (fun () -> Migrate.serialize ~store ~epoch);
+  (match Restore.verify_epoch ~store ~epoch with
+  | Error r
+    when r = Printf.sprintf "oid %d page %d payload corrupt" oid victim
+         || r = Printf.sprintf "corrupt store: page %d: corrupt coded payload" victim ->
+      ()
+  | Error r -> QCheck.Test.fail_reportf "verify_epoch: %s" r
+  | Ok _ -> QCheck.Test.fail_report "verify_epoch accepted the epoch");
+  (match Restore.restore_verified ~machine:(Machine.create ()) ~store () with
+  | Ok v when v.Restore.vr_epoch = epoch ->
+      QCheck.Test.fail_report "verified restore chose the corrupt epoch"
+  | Ok _ | Error _ -> ());
+  (* Lazy restore reads nothing up front; the fault on the bad page raises,
+     every other page comes back intact. *)
+  let r = Restore.restore ~machine:(Machine.create ()) ~store ~epoch ~lazy_pages:true () in
+  let space = (List.hd r.Restore.procs).Process.space in
+  for pg = 0 to npages - 1 do
+    let read () = Vm_space.read_string space ~addr:(addr + (pg * Page.logical_size)) ~len:64 in
+    if pg = victim then typed "lazy page fault" read
+    else if read () <> Bytes.to_string (content pg) then
+      QCheck.Test.fail_reportf "page %d came back wrong" pg
+  done;
+  true
+
+let corruption_qcheck_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"one flipped byte: every reader raises Page_corrupt"
+         ~count:60
+         QCheck.(quad small_nat (int_bound 4095) small_nat small_nat)
+         prop_flipped_byte_is_typed);
+  ]
+
 let test_restore_verified_empty_store () =
   let sys = Sls.boot () in
   match Restore.restore_verified ~machine:(Machine.create ()) ~store:sys.Sls.store () with
@@ -1664,6 +1908,7 @@ let () =
           Alcotest.test_case "manifest verify and fallback" `Quick
             test_verify_epoch_and_fallback;
           Alcotest.test_case "empty store" `Quick test_restore_verified_empty_store;
+          Alcotest.test_case "verify_epoch reasons" `Quick test_verify_epoch_reasons;
           Alcotest.test_case "fallback across two corrupt epochs" `Quick
             test_restore_fallback_two_corrupt_epochs;
         ] );
@@ -1694,5 +1939,5 @@ let () =
             test_rset_divergent_standby_evicted;
           Alcotest.test_case "live migration" `Quick test_rset_migration_live;
         ] );
-      ("properties", qcheck_tests @ roundtrip_qcheck_tests);
+      ("properties", qcheck_tests @ roundtrip_qcheck_tests @ corruption_qcheck_tests);
     ]
