@@ -20,8 +20,8 @@
 
    Emits BENCH_ckpt_dedup.json.
 
-     dune exec bench/ckpt_dedup.exe          # full sweep
-     dune exec bench/ckpt_dedup.exe smoke    # tiny CI pass (gated) *)
+     dune exec bench/main.exe ckpt_dedup          # full sweep
+     dune exec bench/main.exe ckpt_dedup smoke    # tiny CI pass (gated) *)
 
 module Clock = Aurora_sim.Clock
 module Syscall = Aurora_kern.Syscall
@@ -51,8 +51,6 @@ type sample = {
   base : side;
   dedup : side;
 }
-
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
 
 (* One run: [forked] of the [procs] members are COW children of member 0,
    forked after its arena is initialized; the rest own private arenas
@@ -120,12 +118,12 @@ let run_side ~procs ~npages ~fork_share ~ratio ~intervals ~dedup =
   done;
   let stats = List.map fst !samples in
   {
-    s_bytes = avg (List.map (fun s -> float_of_int s.Group.bytes_written) stats);
-    s_window_ns = avg (List.map (fun (_, w) -> float_of_int w) !samples);
-    s_pages = avg (List.map (fun s -> float_of_int s.Group.pages_flushed) stats);
+    s_bytes = Harness.avg (List.map (fun s -> float_of_int s.Group.bytes_written) stats);
+    s_window_ns = Harness.avg (List.map (fun (_, w) -> float_of_int w) !samples);
+    s_pages = Harness.avg (List.map (fun s -> float_of_int s.Group.pages_flushed) stats);
     s_serialized =
-      avg (List.map (fun s -> float_of_int s.Group.pages_serialized) stats);
-    s_deduped = avg (List.map (fun s -> float_of_int s.Group.pages_deduped) stats);
+      Harness.avg (List.map (fun s -> float_of_int s.Group.pages_serialized) stats);
+    s_deduped = Harness.avg (List.map (fun s -> float_of_int s.Group.pages_deduped) stats);
   }
 
 let measure ~procs ~npages ~fork_share ~ratio ~intervals =
@@ -133,29 +131,28 @@ let measure ~procs ~npages ~fork_share ~ratio ~intervals =
   let dedup = run_side ~procs ~npages ~fork_share ~ratio ~intervals ~dedup:true in
   { procs; npages; fork_share; ratio; base; dedup }
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"ckpt_dedup\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"procs\": %d, \"npages\": %d, \"fork_share\": %.2f, \
-            \"mutation_ratio\": %.4f, \"baseline\": {\"bytes_per_ckpt\": %.0f, \
-            \"window_ns\": %.0f, \"pages\": %.1f}, \"dedup\": \
-            {\"bytes_per_ckpt\": %.0f, \"window_ns\": %.0f, \"pages\": %.1f, \
-            \"pages_serialized\": %.1f, \"pages_deduped\": %.1f}, \
-            \"bytes_reduction\": %.2f, \"window_speedup\": %.2f}"
-           s.procs s.npages s.fork_share s.ratio s.base.s_bytes
-           s.base.s_window_ns s.base.s_pages s.dedup.s_bytes
-           s.dedup.s_window_ns s.dedup.s_pages s.dedup.s_serialized
-           s.dedup.s_deduped
-           (s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes)
-           (s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let json_row s =
+  let open Harness in
+  let side x =
+    [
+      ("bytes_per_ckpt", float 0 x.s_bytes); ("window_ns", float 0 x.s_window_ns);
+      ("pages", float 1 x.s_pages);
+    ]
+  in
+  Obj
+    [
+      ("procs", int s.procs); ("npages", int s.npages); ("fork_share", float 2 s.fork_share);
+      ("mutation_ratio", float 4 s.ratio); ("baseline", Obj (side s.base));
+      ( "dedup",
+        Obj
+          (side s.dedup
+          @ [
+              ("pages_serialized", float 1 s.dedup.s_serialized);
+              ("pages_deduped", float 1 s.dedup.s_deduped);
+            ]) );
+      ("bytes_reduction", float 2 (s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes));
+      ("window_speedup", float 2 (s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns));
+    ]
 
 let run ~configs ~intervals =
   print_endline "ckpt-dedup: page-granular dedup + compression, bytes per checkpoint";
@@ -206,10 +203,8 @@ let run ~configs ~intervals =
     samples;
   Text_table.print table;
   print_newline ();
-  let out = open_out "BENCH_ckpt_dedup.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_dedup.json";
+  Harness.write_json "BENCH_ckpt_dedup.json"
+    [ ("bench", Harness.str "ckpt_dedup"); ("configs", Harness.Rows (List.map json_row samples)) ];
   (* Acceptance gate: at 1% mutation the dedup+compress flush must write
      >= 5x fewer device bytes than the block-per-page baseline and shrink
      the flush window. *)
@@ -218,22 +213,19 @@ let run ~configs ~intervals =
     (fun s ->
       let reduction = s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes in
       let speedup = s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns in
-      if reduction < 5.0 || speedup <= 1.0 then begin
-        Printf.eprintf
+      if reduction < 5.0 || speedup <= 1.0 then
+        Harness.fail
           "ckpt-dedup: FAIL: 1%%-mutation bytes reduction %.1fx (need >= 5x), \
-           window speedup %.2fx (need > 1x)\n"
-          reduction speedup;
-        exit 1
-      end)
+           window speedup %.2fx (need > 1x)"
+          reduction speedup)
     gated;
   if gated <> [] then
     print_endline
       "acceptance: >= 5x bytes-written reduction and a shorter flush window at \
        1% mutation"
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
+let main = function
+  | Harness.Smoke ->
       run ~configs:[ (3, 2048, 0.5, 0.01); (3, 2048, 0.5, 0.25) ] ~intervals:3
   | _ ->
       run

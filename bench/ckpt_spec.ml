@@ -22,8 +22,8 @@
 
    Emits BENCH_ckpt_spec.json.
 
-     dune exec bench/ckpt_spec.exe          # full sweep
-     dune exec bench/ckpt_spec.exe smoke    # tiny CI pass (>= 5x gate) *)
+     dune exec bench/main.exe ckpt_spec          # full sweep
+     dune exec bench/main.exe ckpt_spec smoke    # tiny CI pass (>= 5x gate) *)
 
 module Clock = Aurora_sim.Clock
 module Process = Aurora_kern.Process
@@ -51,8 +51,7 @@ type side = {
 
 type sample = { conns : int; npages : int; rate : float; stw : side; spec : side }
 
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
-let avgi f stats = avg (List.map (fun s -> float_of_int (f s)) stats)
+let avgi f stats = Harness.avg (List.map (fun s -> float_of_int (f s)) stats)
 
 let serve mc mut =
   match Mutilate.next mut with
@@ -166,32 +165,30 @@ let identity_check ~conns ~nkeys =
                = Store.page_crcs store ~epoch:e2 ~oid)
        objs2
 
-let json_of_samples samples ~identity =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"bench\": \"ckpt_spec\",\n  \"byte_identity\": %b,\n  \"configs\": [\n"
-       identity);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"conns\": %d, \"npages\": %d, \"mutation_rate\": %.4f, \
-            \"stw\": {\"stop_ns\": %.0f, \"quiesce_ns\": %.0f, \
-            \"serialize_ns\": %.0f}, \"spec\": {\"stop_ns\": %.0f, \
-            \"quiesce_ns\": %.0f, \"speculate_ns\": %.0f, \"validate_ns\": \
-            %.0f, \"spare_core_ns\": %.0f, \"conflict_objects\": %.1f, \
-            \"conflict_pages\": %.1f, \"hook_ops_per_ckpt\": %.1f}, \
-            \"stop_reduction\": %.2f}"
-           s.conns s.npages s.rate s.stw.s_stop_ns s.stw.s_quiesce_ns
-           s.stw.s_serialize_ns s.spec.s_stop_ns s.spec.s_quiesce_ns
-           s.spec.s_speculate_ns s.spec.s_validate_ns s.spec.s_serialize_ns
-           s.spec.s_conflict_objects s.spec.s_conflict_pages s.spec.s_hook_ops
-           (s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let json_row s =
+  Harness.(
+    Obj
+      [
+        ("conns", int s.conns); ("npages", int s.npages); ("mutation_rate", float 4 s.rate);
+        ( "stw",
+          Obj
+            [
+              ("stop_ns", float 0 s.stw.s_stop_ns); ("quiesce_ns", float 0 s.stw.s_quiesce_ns);
+              ("serialize_ns", float 0 s.stw.s_serialize_ns);
+            ] );
+        ( "spec",
+          Obj
+            [
+              ("stop_ns", float 0 s.spec.s_stop_ns); ("quiesce_ns", float 0 s.spec.s_quiesce_ns);
+              ("speculate_ns", float 0 s.spec.s_speculate_ns);
+              ("validate_ns", float 0 s.spec.s_validate_ns);
+              ("spare_core_ns", float 0 s.spec.s_serialize_ns);
+              ("conflict_objects", float 1 s.spec.s_conflict_objects);
+              ("conflict_pages", float 1 s.spec.s_conflict_pages);
+              ("hook_ops_per_ckpt", float 1 s.spec.s_hook_ops);
+            ] );
+        ("stop_reduction", float 2 (s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns));
+      ])
 
 let run ~configs ~intervals =
   print_endline
@@ -244,36 +241,30 @@ let run ~configs ~intervals =
   let identity = identity_check ~conns:(min conns 16) ~nkeys in
   Printf.printf "byte-identity (speculative vs forced-full): %s\n"
     (if identity then "OK" else "MISMATCH");
-  let out = open_out "BENCH_ckpt_spec.json" in
-  output_string out (json_of_samples samples ~identity);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_spec.json";
+  Harness.write_json "BENCH_ckpt_spec.json"
+    [
+      ("bench", Harness.str "ckpt_spec"); ("byte_identity", Harness.bool identity);
+      ("configs", Harness.Rows (List.map json_row samples));
+    ];
   (* Acceptance gate: at <= 1% mutation the speculative stop window must
      be >= 5x shorter than stop-the-world, and the speculative image must
      be byte-identical to a forced-full one. *)
-  if not identity then begin
-    prerr_endline "ckpt-spec: FAIL: speculative epoch differs from forced-full";
-    exit 1
-  end;
+  if not identity then Harness.fail "ckpt-spec: FAIL: speculative epoch differs from forced-full";
   List.iter
     (fun s ->
       if s.rate <= 0.011 then begin
         let reduction = s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns in
-        if reduction < 5.0 then begin
-          Printf.eprintf
-            "ckpt-spec: FAIL: 1%%-mutation stop_ns reduction %.2fx (need >= 5x)\n"
-            reduction;
-          exit 1
-        end
+        if reduction < 5.0 then
+          Harness.fail "ckpt-spec: FAIL: 1%%-mutation stop_ns reduction %.2fx (need >= 5x)"
+            reduction
       end)
     samples;
   print_endline
     "acceptance: >= 5x stop-window reduction at 1% mutation, byte-identical \
      image"
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
+let main = function
+  | Harness.Smoke ->
       run ~configs:[ (384, 8192, 0.01); (384, 8192, 0.10) ] ~intervals:4
   | _ ->
       run

@@ -11,8 +11,8 @@
 
    Emits BENCH_ckpt_steady.json next to the binary's working directory.
 
-     dune exec bench/ckpt_steady.exe          # full sweep
-     dune exec bench/ckpt_steady.exe smoke    # tiny CI pass *)
+     dune exec bench/main.exe ckpt_steady          # full sweep
+     dune exec bench/main.exe ckpt_steady smoke    # tiny CI pass *)
 
 module Syscall = Aurora_kern.Syscall
 module Sls = Aurora_core.Sls
@@ -32,8 +32,6 @@ type sample = {
   full_serialize_ns : float;
   full_meta_bytes : float;
 }
-
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
 
 (* One configuration: G procs, each with [pipes_per_proc] pipe pairs and a
    one-page arena.  OS objects per proc: the proc, 2 descriptions and 1
@@ -70,7 +68,7 @@ let measure ~procs:g ~pipes_per_proc:pp ~ratio ~intervals =
     (* Identical state, full reserialization: the baseline. *)
     full := Group.checkpoint ~full:true group :: !full
   done;
-  let f sel l = avg (List.map sel l) in
+  let f sel l = Harness.avg (List.map sel l) in
   {
     procs = g;
     objects;
@@ -84,28 +82,26 @@ let measure ~procs:g ~pipes_per_proc:pp ~ratio ~intervals =
     full_meta_bytes = f (fun s -> float_of_int s.Group.meta_bytes_written) !full;
   }
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"ckpt_steady\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"procs\": %d, \"objects\": %d, \"mutation_ratio\": %.4f, \
-            \"pipes_dirtied\": %d, \"incremental\": {\"serialize_ns\": %.1f, \
-            \"meta_bytes\": %.1f, \"objects_serialized\": %.2f, \
-            \"objects_skipped\": %.2f}, \"full\": {\"serialize_ns\": %.1f, \
-            \"meta_bytes\": %.1f}, \"serialize_speedup\": %.2f, \
-            \"meta_reduction\": %.2f}"
-           s.procs s.objects s.ratio s.pipes_dirtied s.inc_serialize_ns
-           s.inc_meta_bytes s.inc_serialized s.inc_skipped s.full_serialize_ns
-           s.full_meta_bytes
-           (s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns)
-           (s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let json_row s =
+  Harness.(
+    Obj
+      [
+        ("procs", int s.procs); ("objects", int s.objects);
+        ("mutation_ratio", float 4 s.ratio); ("pipes_dirtied", int s.pipes_dirtied);
+        ( "incremental",
+          Obj
+            [
+              ("serialize_ns", float 1 s.inc_serialize_ns); ("meta_bytes", float 1 s.inc_meta_bytes);
+              ("objects_serialized", float 2 s.inc_serialized);
+              ("objects_skipped", float 2 s.inc_skipped);
+            ] );
+        ( "full",
+          Obj
+            [ ("serialize_ns", float 1 s.full_serialize_ns); ("meta_bytes", float 1 s.full_meta_bytes) ]
+        );
+        ("serialize_speedup", float 2 (s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns));
+        ("meta_reduction", float 2 (s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes));
+      ])
 
 let run ~configs ~intervals =
   print_endline "ckpt-steady: steady-state incremental checkpoint cost";
@@ -152,10 +148,8 @@ let run ~configs ~intervals =
     samples;
   Text_table.print table;
   print_newline ();
-  let out = open_out "BENCH_ckpt_steady.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_steady.json";
+  Harness.write_json "BENCH_ckpt_steady.json"
+    [ ("bench", Harness.str "ckpt_steady"); ("configs", Harness.Rows (List.map json_row samples)) ];
   (* Acceptance gate: at the lowest mutation ratio the incremental pass
      must beat full reserialization by >= 10x on both serialize time and
      staged meta bytes. *)
@@ -167,20 +161,17 @@ let run ~configs ~intervals =
   in
   List.iter
     (fun (speedup, reduction) ->
-      if speedup < 10.0 || reduction < 10.0 then begin
-        Printf.eprintf
+      if speedup < 10.0 || reduction < 10.0 then
+        Harness.fail
           "ckpt-steady: FAIL: 1%% mutation speedup %.1fx / meta reduction %.1fx \
-           (need >= 10x)\n"
-          speedup reduction;
-        exit 1
-      end)
+           (need >= 10x)"
+          speedup reduction)
     worst;
   if worst <> [] then
     print_endline "acceptance: >= 10x serialize and meta reduction at 1% mutation"
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
+let main = function
+  | Harness.Smoke ->
       (* Tiny CI pass; still crosses the 10x gate at the ~1% point. *)
       run
         ~configs:[ (8, 5, 0.01); (8, 5, 0.25) ]

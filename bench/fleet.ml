@@ -12,8 +12,8 @@
 
    Emits BENCH_fleet.json.
 
-     dune exec bench/fleet.exe          # full sweep (up to 128 groups)
-     dune exec bench/fleet.exe smoke    # tiny CI pass *)
+     dune exec bench/main.exe fleet          # full sweep (up to 128 groups)
+     dune exec bench/main.exe fleet smoke    # tiny CI pass *)
 
 module Fleet = Aurora_core.Fleet
 module Text_table = Aurora_util.Text_table
@@ -75,26 +75,17 @@ let measure ~groups ~period_ns ~ratio ~periods =
 
 let slowdown s = s.p99_stop_ns /. Float.max 1.0 s.solo_p99_ns
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"fleet\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"groups\": %d, \"period_ns\": %d, \"mutation_ratio\": %.4f, \
-            \"epochs\": %d, \"ckpt_throughput_per_s\": %.1f, \
-            \"bytes_per_s\": %.0f, \"p99_stop_ns\": %.0f, \
-            \"solo_p99_stop_ns\": %.0f, \"p99_slowdown\": %.3f, \
-            \"jain\": %.4f, \"collisions\": %d, \"delayed\": %d, \
-            \"rejected\": %d, \"accounting_ok\": %b}"
-           s.groups s.period_ns s.ratio s.epochs s.throughput s.bytes_per_s
-           s.p99_stop_ns s.solo_p99_ns (slowdown s) s.jain s.collisions
-           s.delayed s.rejected s.accounting_ok))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let json_row s =
+  Harness.(
+    Obj
+      [
+        ("groups", int s.groups); ("period_ns", int s.period_ns); ("mutation_ratio", float 4 s.ratio);
+        ("epochs", int s.epochs); ("ckpt_throughput_per_s", float 1 s.throughput);
+        ("bytes_per_s", float 0 s.bytes_per_s); ("p99_stop_ns", float 0 s.p99_stop_ns);
+        ("solo_p99_stop_ns", float 0 s.solo_p99_ns); ("p99_slowdown", float 3 (slowdown s));
+        ("jain", float 4 s.jain); ("collisions", int s.collisions); ("delayed", int s.delayed);
+        ("rejected", int s.rejected); ("accounting_ok", bool s.accounting_ok);
+      ])
 
 (* Acceptance gates, applied to every measured cell: perfect window
    partitioning (zero cross-tenant flush overlaps), the arbiter's
@@ -169,20 +160,18 @@ let run ~configs ~periods ~max_groups =
     samples;
   Text_table.print table;
   print_newline ();
-  let out = open_out "BENCH_fleet.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_fleet.json";
+  Harness.write_json "BENCH_fleet.json"
+    [ ("bench", Harness.str "fleet"); ("configs", Harness.Rows (List.map json_row samples)) ];
   if not (check_gates ~max_groups samples) then exit 1;
   Printf.printf
     "acceptance: zero collisions, jain >= 0.9, lane accounting exact, p99 \
      within 3x of solo at %d groups\n"
     max_groups
 
-let () =
+let main mode =
   let ms = 1_000_000 in
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
+  match mode with
+  | Harness.Smoke ->
       run
         ~configs:[ (2, 10 * ms, 0.25); (4, 10 * ms, 1.0) ]
         ~periods:6 ~max_groups:4

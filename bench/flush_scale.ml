@@ -160,13 +160,14 @@ type sample = {
   legacy_ops : int;
 }
 
-let measure n =
+(* One object of [n] pages, committed, then an incremental commit that
+   rewrites every page and so re-reads (or cache-hits) every touched leaf.
+   Returns the store, the commit's virtual start and its host wall-clock. *)
+let incremental_commit n =
   let clock = Clock.create () in
   let dev = Striped.create () in
   let store = Store.format ~dev ~clock in
   let oid = Store.alloc_oid store in
-  (* Epoch 1 populates the object so epoch 2 is a true incremental commit
-     that re-reads (or cache-hits) every touched leaf. *)
   ignore (Store.begin_checkpoint store);
   Store.put_object store ~oid ~kind:"bench" ~meta:"flush-scale";
   Store.put_pages store ~oid (List.init n (fun i -> (i, payload i)));
@@ -177,6 +178,10 @@ let measure n =
   let t0 = Clock.now clock in
   Gc.compact ();
   let (), wall_s = wall (fun () -> ignore (Store.commit_checkpoint store)) in
+  (store, t0, wall_s)
+
+let measure n =
+  let store, t0, wall_s = incremental_commit n in
   let sim_flush_ns = Store.durable_at store - t0 in
   let stats = Store.flush_stats store in
   let legacy_wall_s, legacy_ops = legacy_commit_walltime n in

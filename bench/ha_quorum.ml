@@ -1,4 +1,13 @@
-(* Quorum replication bench and gate driver.
+(* Replication torture, bench and gate drivers: two artifacts.
+
+   `ha_torture_sweep` is the single-standby torture, i.e. the quorum
+   harness of Ha_torture at N = 1.  `fast` (the @ha-torture alias, wired
+   into runtest) runs both negative controls plus a short failover sweep
+   at fault rates up to 10%, once with stop-the-world checkpoints (stw)
+   and once speculative (spec); `deep [seed]` (@ha-torture-deep) sweeps
+   more seeds, more rounds and more rates.  It fails on any run whose
+   recovered state contradicts the reference model, on a missed fallback
+   in the negative controls, or on an uncaught exception anywhere.
 
    `ha_quorum fast` (the @ha-quorum alias, wired into runtest) runs a
    short quorum-torture sweep at N in {3,5}, one pipelined-vs-
@@ -16,20 +25,22 @@
        byte-identical target.
 
    Exit status is nonzero on any gate or run failure; every failure
-   prints its seed so it reproduces by rerunning with the same
-   arguments. *)
+   prints its seed (and rate) so it reproduces by rerunning with the
+   same arguments. *)
 
 module Ha_torture = Aurora_faultsim.Ha_torture
+module Replica_set = Aurora_core.Replica_set
 
 let ok = ref true
 
-let run_quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
-  let s = Ha_torture.quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds () in
+let run_quorum_sweep ?(label = "quorum") ?speculative ~seed ~runs_per_cell ~rates ~ns
+    ~rounds () =
+  let s = Ha_torture.quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () in
   Printf.printf
-    "quorum seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d retx=%d \
+    "%s seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d retx=%d \
      released=%d dropped=%d\n\
      %!"
-    seed s.Ha_torture.q_runs s.Ha_torture.q_ok s.Ha_torture.q_evictions
+    label seed s.Ha_torture.q_runs s.Ha_torture.q_ok s.Ha_torture.q_evictions
     s.Ha_torture.q_rejoins s.Ha_torture.q_retransmits s.Ha_torture.q_released
     s.Ha_torture.q_dropped;
   List.iter
@@ -62,21 +73,22 @@ let run_migration ~seed ~rate =
     "migration seed=%d rate=%.2f: %d pre-copy rounds (%d B), final %d B, \
      downtime %.3f ms = %.2f periods, identical=%b: %s\n\
      %!"
-    seed rate r.Aurora_core.Replica_set.mig_rounds
-    r.Aurora_core.Replica_set.mig_precopy_bytes
-    r.Aurora_core.Replica_set.mig_final_bytes
-    (float_of_int r.Aurora_core.Replica_set.mig_downtime_ns /. 1e6)
-    m.Ha_torture.mc_downtime_periods r.Aurora_core.Replica_set.mig_identical
+    seed rate r.Replica_set.mig_rounds
+    r.Replica_set.mig_precopy_bytes
+    r.Replica_set.mig_final_bytes
+    (float_of_int r.Replica_set.mig_downtime_ns /. 1e6)
+    m.Ha_torture.mc_downtime_periods r.Replica_set.mig_identical
     m.Ha_torture.mc_outcome;
   if not m.Ha_torture.mc_ok then ok := false;
   m
 
 let fast () =
-  ignore
-    (run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
-       ~ns:[ 3; 5 ] ~rounds:6);
-  ignore (run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3);
-  ignore (run_migration ~seed:42 ~rate:0.0)
+  let q =
+    run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
+      ~ns:[ 3; 5 ] ~rounds:6 ()
+  in
+  let p = run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3 in
+  (q, p, run_migration ~seed:42 ~rate:0.0)
 
 let deep seed =
   List.iter
@@ -84,7 +96,7 @@ let deep seed =
       ignore
         (run_quorum_sweep ~seed:s ~runs_per_cell:4
            ~rates:[ 0.0; 0.02; 0.05; 0.08; 0.12 ]
-           ~ns:[ 3; 5 ] ~rounds:10))
+           ~ns:[ 3; 5 ] ~rounds:10 ()))
     [ seed; seed + 1; seed + 2 ];
   List.iter
     (fun rate -> ignore (run_pipeline ~seed ~rounds:30 ~rate ~n:3))
@@ -101,45 +113,43 @@ let deep seed =
 let json_out (q : Ha_torture.quorum_sweep_report)
     (p : Ha_torture.pipeline_report) (m : Ha_torture.migration_check) =
   let r = m.Ha_torture.mc_report in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n";
-  Printf.bprintf buf
-    "  \"quorum\": {\"runs\": %d, \"ok\": %d, \"evictions\": %d, \
-     \"rejoins\": %d, \"retransmits\": %d, \"released\": %d, \"dropped\": \
-     %d},\n"
-    q.Ha_torture.q_runs q.Ha_torture.q_ok q.Ha_torture.q_evictions
-    q.Ha_torture.q_rejoins q.Ha_torture.q_retransmits q.Ha_torture.q_released
-    q.Ha_torture.q_dropped;
-  Printf.bprintf buf
-    "  \"pipeline\": {\"n\": %d, \"rate\": %.3f, \"rounds\": %d, \
-     \"sw_plane_ns\": %d, \"pipe_plane_ns\": %d, \"sw_total_ns\": %d, \
-     \"pipe_total_ns\": %d, \"speedup\": %.2f},\n"
-    p.Ha_torture.pl_n p.Ha_torture.pl_rate p.Ha_torture.pl_rounds
-    p.Ha_torture.pl_sw_plane_ns p.Ha_torture.pl_pipe_plane_ns
-    p.Ha_torture.pl_sw_total_ns p.Ha_torture.pl_pipe_total_ns
-    p.Ha_torture.pl_speedup;
-  Printf.bprintf buf
-    "  \"migration\": {\"rounds\": %d, \"precopy_bytes\": %d, \
-     \"final_bytes\": %d, \"downtime_ns\": %d, \"period_ns\": %d, \
-     \"downtime_periods\": %.3f, \"identical\": %b}\n"
-    r.Aurora_core.Replica_set.mig_rounds
-    r.Aurora_core.Replica_set.mig_precopy_bytes
-    r.Aurora_core.Replica_set.mig_final_bytes
-    r.Aurora_core.Replica_set.mig_downtime_ns m.Ha_torture.mc_period_ns
-    m.Ha_torture.mc_downtime_periods r.Aurora_core.Replica_set.mig_identical;
-  Printf.bprintf buf "}\n";
-  let out = open_out "BENCH_ha_quorum.json" in
-  output_string out (Buffer.contents buf);
-  close_out out;
-  print_endline "wrote BENCH_ha_quorum.json"
+  Harness.(
+    write_json "BENCH_ha_quorum.json"
+      [
+        ( "quorum",
+          Obj
+            [
+              ("runs", int q.Ha_torture.q_runs); ("ok", int q.Ha_torture.q_ok);
+              ("evictions", int q.Ha_torture.q_evictions); ("rejoins", int q.Ha_torture.q_rejoins);
+              ("retransmits", int q.Ha_torture.q_retransmits);
+              ("released", int q.Ha_torture.q_released); ("dropped", int q.Ha_torture.q_dropped);
+            ] );
+        ( "pipeline",
+          Obj
+            [
+              ("n", int p.Ha_torture.pl_n); ("rate", float 3 p.Ha_torture.pl_rate);
+              ("rounds", int p.Ha_torture.pl_rounds);
+              ("sw_plane_ns", int p.Ha_torture.pl_sw_plane_ns);
+              ("pipe_plane_ns", int p.Ha_torture.pl_pipe_plane_ns);
+              ("sw_total_ns", int p.Ha_torture.pl_sw_total_ns);
+              ("pipe_total_ns", int p.Ha_torture.pl_pipe_total_ns);
+              ("speedup", float 2 p.Ha_torture.pl_speedup);
+            ] );
+        ( "migration",
+          Obj
+            [
+              ("rounds", int r.Replica_set.mig_rounds);
+              ("precopy_bytes", int r.Replica_set.mig_precopy_bytes);
+              ("final_bytes", int r.Replica_set.mig_final_bytes);
+              ("downtime_ns", int r.Replica_set.mig_downtime_ns);
+              ("period_ns", int m.Ha_torture.mc_period_ns);
+              ("downtime_periods", float 3 m.Ha_torture.mc_downtime_periods);
+              ("identical", bool r.Replica_set.mig_identical);
+            ] );
+      ])
 
 let smoke () =
-  let q =
-    run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
-      ~ns:[ 3; 5 ] ~rounds:6
-  in
-  let p = run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3 in
-  let m = run_migration ~seed:42 ~rate:0.0 in
+  let q, p, m = fast () in
   json_out q p m;
   if q.Ha_torture.q_ok <> q.Ha_torture.q_runs then begin
     Printf.printf "GATE FAIL: quorum convergence %d/%d < 100%%\n%!"
@@ -157,17 +167,49 @@ let smoke () =
     ok := false
   end
 
-let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "fast" :: _ | [ _ ] -> fast ()
-  | _ :: "smoke" :: _ -> smoke ()
-  | _ :: "deep" :: rest ->
-      let seed = match rest with s :: _ -> int_of_string s | [] -> 20260809 in
-      deep seed
-  | _ ->
-      prerr_endline "usage: ha_quorum [fast | smoke | deep [seed]]";
-      exit 2);
-  if not !ok then begin
-    prerr_endline "ha_quorum: quorum torture found failures";
-    exit 1
-  end
+(* The single-standby torture. *)
+
+let control label mode =
+  match Ha_torture.negative_control ~seed:1 ~mode with
+  | Ok () -> Printf.printf "control %-5s corrupted newest epoch skipped\n%!" label
+  | Error e ->
+      Printf.printf "control %-5s FAIL %s\n%!" label e;
+      ok := false
+
+let standby_sweeps ~seed ~runs_per_cell ~rates ~rounds =
+  List.iter
+    (fun (label, speculative) ->
+      ignore
+        (run_quorum_sweep ~label ~speculative ~seed ~runs_per_cell ~rates ~ns:[ 1 ]
+           ~rounds ()))
+    [ ("sweep stw  ", false); ("sweep spec ", true) ]
+
+let torture_fast () =
+  control "meta" Ha_torture.Meta;
+  control "page" Ha_torture.Page;
+  standby_sweeps ~seed:42 ~runs_per_cell:3 ~rates:[ 0.0; 0.05; 0.10 ] ~rounds:6
+
+let torture_deep seed =
+  control "meta" Ha_torture.Meta;
+  control "page" Ha_torture.Page;
+  List.iter
+    (fun s ->
+      standby_sweeps ~seed:s ~runs_per_cell:8
+        ~rates:[ 0.0; 0.01; 0.02; 0.05; 0.08; 0.10 ]
+        ~rounds:12)
+    [ seed; seed + 1; seed + 2 ]
+
+let main mode =
+  ok := true;
+  (match mode with
+  | Harness.Smoke -> smoke ()
+  | Harness.Deep seed -> deep (Option.value seed ~default:20260809)
+  | _ -> ignore (fast ()));
+  if not !ok then Harness.fail "ha_quorum: quorum torture found failures"
+
+let torture_main mode =
+  ok := true;
+  (match mode with
+  | Harness.Deep seed -> torture_deep (Option.value seed ~default:20260807)
+  | _ -> torture_fast ());
+  if not !ok then Harness.fail "ha_torture_sweep: HA torture found failures"

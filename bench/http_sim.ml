@@ -8,10 +8,10 @@
 
    Emits BENCH_http.json.
 
-     dune exec bench/http_sim.exe          # full sweep
-     dune exec bench/http_sim.exe smoke    # tiny CI pass with SLO gates and
-                                           # the host-cost scaling and
-                                           # checkpoint allocation gates *)
+     dune exec bench/main.exe http_sim          # full sweep
+     dune exec bench/main.exe http_sim smoke    # tiny CI pass with SLO gates and
+                                                # the host-cost scaling and
+                                                # checkpoint allocation gates *)
 
 module Clock = Aurora_sim.Clock
 module Machine = Aurora_kern.Machine
@@ -90,29 +90,21 @@ let print_samples samples =
     samples;
   Text_table.print table
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"http_sim\",\n  \"samples\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let o = s.s_out in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"conns\": %d, \"dynamic_ratio\": %.2f, \"arm\": \"%s\", \
-            \"period_ns\": %d, \"completed\": %d, \"throughput_rps\": %.0f, \
-            \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, \
-            \"max_ns\": %.0f, \"checkpoints\": %d, \"avg_stop_ns\": %.0f, \
-            \"hook_ops\": %d, \"reconnects\": %d}"
-           s.s_conns s.s_dyn_ratio s.s_arm
-           (match s.s_period with None -> 0 | Some p -> p)
-           o.Http_sim.completed o.Http_sim.throughput_rps o.Http_sim.p50_ns
-           o.Http_sim.p99_ns o.Http_sim.p999_ns o.Http_sim.max_ns
-           o.Http_sim.checkpoints o.Http_sim.avg_stop_ns o.Http_sim.hook_ops
-           o.Http_sim.reconnects))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let json_row s =
+  let o = s.s_out in
+  Harness.(
+    Obj
+      [
+        ("conns", int s.s_conns); ("dynamic_ratio", float 2 s.s_dyn_ratio); ("arm", str s.s_arm);
+        ("period_ns", int (Option.value s.s_period ~default:0));
+        ("completed", int o.Http_sim.completed);
+        ("throughput_rps", float 0 o.Http_sim.throughput_rps);
+        ("p50_ns", float 0 o.Http_sim.p50_ns);
+        ("p99_ns", float 0 o.Http_sim.p99_ns); ("p999_ns", float 0 o.Http_sim.p999_ns);
+        ("max_ns", float 0 o.Http_sim.max_ns); ("checkpoints", int o.Http_sim.checkpoints);
+        ("avg_stop_ns", float 0 o.Http_sim.avg_stop_ns); ("hook_ops", int o.Http_sim.hook_ops);
+        ("reconnects", int o.Http_sim.reconnects);
+      ])
 
 let find samples ~arm ~period =
   List.find
@@ -125,36 +117,17 @@ let find samples ~arm ~period =
    - at the shortest period, the speculative arm must beat STW on p999
      by >= 3x (the stall dominates the extreme tail there). *)
 let gate samples ~long_period ~short_period =
-  let ok = ref true in
-  let base = find samples ~arm:"none" ~period:None in
-  let stw100 = find samples ~arm:"stw" ~period:(Some long_period) in
-  let infl =
-    stw100.s_out.Http_sim.p99_ns /. Float.max 1.0 base.s_out.Http_sim.p99_ns
-  in
-  Printf.printf "gate: p99 inflation at %s period: %.2fx (need <= 2x)\n"
-    (Units.ns_to_string long_period) infl;
-  if infl > 2.0 then begin
-    Printf.eprintf "http-sim: FAIL: p99 inflation %.2fx > 2x at %s period\n"
-      infl
-      (Units.ns_to_string long_period);
-    ok := false
-  end;
-  let stw_s = find samples ~arm:"stw" ~period:(Some short_period) in
-  let spec_s = find samples ~arm:"spec" ~period:(Some short_period) in
-  let gain =
-    stw_s.s_out.Http_sim.p999_ns /. Float.max 1.0 spec_s.s_out.Http_sim.p999_ns
-  in
-  Printf.printf "gate: speculative p999 advantage at %s period: %.2fx (need >= 3x)\n"
-    (Units.ns_to_string short_period) gain;
-  if gain < 3.0 then begin
-    Printf.eprintf
-      "http-sim: FAIL: speculative p999 only %.2fx better than STW at %s \
-       period (need >= 3x)\n"
-      gain
-      (Units.ns_to_string short_period);
-    ok := false
-  end;
-  !ok
+  let p99 arm period = (find samples ~arm ~period).s_out.Http_sim.p99_ns in
+  let p999 arm period = (find samples ~arm ~period).s_out.Http_sim.p999_ns in
+  let infl = p99 "stw" (Some long_period) /. Float.max 1.0 (p99 "none" None) in
+  Harness.check (infl <= 2.0)
+    (Printf.sprintf "gate: p99 inflation at %s period: %.2fx (need <= 2x)"
+       (Units.ns_to_string long_period) infl);
+  let short = Some short_period in
+  let gain = p999 "stw" short /. Float.max 1.0 (p999 "spec" short) in
+  Harness.check (gain >= 3.0)
+    (Printf.sprintf "gate: speculative p999 advantage at %s period: %.2fx (need >= 3x)"
+       (Units.ns_to_string short_period) gain)
 
 let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
   print_endline
@@ -164,15 +137,14 @@ let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
   print_newline ();
   let long_period = List.fold_left max 0 periods in
   let short_period = List.fold_left min max_int periods in
+  let ckpt_arms p =
+    [
+      { a_name = "stw"; a_period = Some p; a_spec = false };
+      { a_name = "spec"; a_period = Some p; a_spec = true };
+    ]
+  in
   let arms =
-    { a_name = "none"; a_period = None; a_spec = false }
-    :: List.concat_map
-         (fun p ->
-           [
-             { a_name = "stw"; a_period = Some p; a_spec = false };
-             { a_name = "spec"; a_period = Some p; a_spec = true };
-           ])
-         periods
+    { a_name = "none"; a_period = None; a_spec = false } :: List.concat_map ckpt_arms periods
   in
   let base_conns = List.hd conn_sweep in
   let base_mix = List.hd mix_sweep in
@@ -187,31 +159,22 @@ let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
         if conns = base_conns then []
         else
           measure ~duration_ns ~rate ~conns ~dynamic_ratio:base_mix
-            [
-              { a_name = "stw"; a_period = Some long_period; a_spec = false };
-              { a_name = "spec"; a_period = Some long_period; a_spec = true };
-            ])
+            (ckpt_arms long_period))
       conn_sweep
     @ List.concat_map
         (fun mix ->
           if mix = base_mix then []
           else
             measure ~duration_ns ~rate ~conns:base_conns ~dynamic_ratio:mix
-              [
-                { a_name = "stw"; a_period = Some long_period; a_spec = false };
-                { a_name = "spec"; a_period = Some long_period; a_spec = true };
-              ])
+              (ckpt_arms long_period))
         mix_sweep
   in
   let all = samples @ extra in
   print_samples all;
   print_newline ();
-  let out = open_out "BENCH_http.json" in
-  output_string out (json_of_samples all);
-  close_out out;
-  print_endline "wrote BENCH_http.json";
-  let ok = gate samples ~long_period ~short_period in
-  if not ok then exit 1;
+  Harness.write_json "BENCH_http.json"
+    [ ("bench", Harness.str "http_sim"); ("samples", Harness.Rows (List.map json_row all)) ];
+  gate samples ~long_period ~short_period;
   print_endline
     "acceptance: p99 inflation <= 2x at the paper period, speculative p999 \
      >= 3x better than STW at the shortest period"
@@ -225,7 +188,7 @@ let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
    second run twice as long, and words/req is the second run's extra
    allocation per extra request, so the one-off connection set-up cancels
    out.  The figures are printed only, never written to BENCH_http.json. *)
-let words_per_req ~conns =
+let words_per_req conns =
   let measure duration_ns =
     let cfg =
       {
@@ -243,21 +206,6 @@ let words_per_req ~conns =
   let w2, c2 = measure 100_000_000 in
   (w2 -. w1) /. float_of_int (max 1 (c2 - c1))
 
-let scaling_gate ~small ~large =
-  let w_small = words_per_req ~conns:small in
-  let w_large = words_per_req ~conns:large in
-  let ratio = w_large /. w_small in
-  Printf.printf
-    "gate: words/req %.0f at %d conns, %.0f at %d conns: %.2fx (need <= 1.25x)\n"
-    w_small small w_large large ratio;
-  if ratio > 1.25 then begin
-    Printf.eprintf
-      "http-sim: FAIL: words/req grows %.2fx from %d to %d connections (need \
-       <= 1.25x)\n"
-      ratio small large;
-    exit 1
-  end
-
 (* Checkpoint allocation gate: a checkpoint's host allocation must scale
    with what it writes, not with temporaries built per visited object.
    A short speculative run per size: every connection sees a keepalive
@@ -272,7 +220,7 @@ let scaling_gate ~small ~large =
    BENCH_http.json. *)
 let ckpt_words_ceiling = 135.0
 
-let ckpt_words_per_object ~conns =
+let ckpt_words_per_object conns =
   let sys = Sls.boot () in
   let machine = sys.Sls.machine in
   let clk = machine.Machine.clock in
@@ -302,30 +250,15 @@ let ckpt_words_per_object ~conns =
   done;
   !words /. float_of_int (max 1 !visited)
 
-let ckpt_alloc_gate ~small ~large =
-  let w_small = ckpt_words_per_object ~conns:small in
-  let w_large = ckpt_words_per_object ~conns:large in
-  let ratio = w_large /. w_small in
-  Printf.printf
-    "gate: checkpoint words/object %.1f at %d conns, %.1f at %d conns: %.2fx \
-     (need <= 1.25x, each <= %.0f)\n"
-    w_small small w_large large ratio ckpt_words_ceiling;
-  let over = List.filter (fun w -> w > ckpt_words_ceiling) [ w_small; w_large ] in
-  if ratio > 1.25 || over <> [] then begin
-    Printf.eprintf
-      "http-sim: FAIL: checkpoint words/object %.1f at %d conns, %.1f at %d \
-       conns (need ratio <= 1.25x, each <= %.0f)\n"
-      w_small small w_large large ckpt_words_ceiling;
-    exit 1
-  end
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
+let main = function
+  | Harness.Smoke ->
       run ~duration_ns:300_000_000 ~rate:20_000.0 ~conn_sweep:[ 384 ]
         ~mix_sweep:[ 0.3 ] ~periods:[ 100_000_000; 5_000_000 ];
-      scaling_gate ~small:384 ~large:4096;
-      ckpt_alloc_gate ~small:384 ~large:4096
+      Harness.alloc_gate ~what:"words/req" ~unit_:"conns" ~digits:0 ~max_ratio:1.25
+        ~small:384 ~large:4096 words_per_req;
+      Harness.alloc_gate ~what:"checkpoint words/object" ~unit_:"conns" ~digits:1
+        ~max_ratio:1.25 ~ceiling:ckpt_words_ceiling ~small:384 ~large:4096
+        ckpt_words_per_object
   | _ ->
       run ~duration_ns:400_000_000 ~rate:30_000.0 ~conn_sweep:[ 384; 512 ]
         ~mix_sweep:[ 0.3; 0.7 ] ~periods:[ 100_000_000; 20_000_000; 5_000_000 ]

@@ -53,22 +53,24 @@ let test_store_checkpoint =
            (List.init 64 (fun i -> (i, Bytes.make 64 'p')));
          ignore (Store.commit_checkpoint store)))
 
+(* 4096 pages committed, then all of them rewritten in a second commit. *)
+let incremental_commit () =
+  let clock = Clock.create () in
+  let dev = Striped.create () in
+  let store = Store.format ~dev ~clock in
+  let oid = Store.alloc_oid store in
+  ignore (Store.begin_checkpoint store);
+  Store.put_object store ~oid ~kind:"bench" ~meta:"m";
+  Store.put_pages store ~oid (List.init 4096 (fun i -> (i, Bytes.make 64 'p')));
+  ignore (Store.commit_checkpoint store);
+  ignore (Store.begin_checkpoint store);
+  Store.put_pages store ~oid (List.init 4096 (fun i -> (i, Bytes.make 64 'q')));
+  ignore (Store.commit_checkpoint store);
+  store
+
 let test_store_incremental =
   Test.make ~name:"store incremental commit (4k dirty pages)"
-    (Staged.stage (fun () ->
-         let clock = Clock.create () in
-         let dev = Striped.create () in
-         let store = Store.format ~dev ~clock in
-         let oid = Store.alloc_oid store in
-         ignore (Store.begin_checkpoint store);
-         Store.put_object store ~oid ~kind:"bench" ~meta:"m";
-         Store.put_pages store ~oid
-           (List.init 4096 (fun i -> (i, Bytes.make 64 'p')));
-         ignore (Store.commit_checkpoint store);
-         ignore (Store.begin_checkpoint store);
-         Store.put_pages store ~oid
-           (List.init 4096 (fun i -> (i, Bytes.make 64 'q')));
-         ignore (Store.commit_checkpoint store)))
+    (Staged.stage (fun () -> ignore (incremental_commit ())))
 
 let test_wire =
   Test.make ~name:"wire serialize+parse (1k ints)"
@@ -113,18 +115,7 @@ let run () =
   print_newline ();
   (* One instrumented incremental commit, to show what the coalesced flush
      pipeline actually submitted. *)
-  let clock = Clock.create () in
-  let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
-  let oid = Store.alloc_oid store in
-  ignore (Store.begin_checkpoint store);
-  Store.put_object store ~oid ~kind:"bench" ~meta:"m";
-  Store.put_pages store ~oid (List.init 4096 (fun i -> (i, Bytes.make 64 'p')));
-  ignore (Store.commit_checkpoint store);
-  ignore (Store.begin_checkpoint store);
-  Store.put_pages store ~oid (List.init 4096 (fun i -> (i, Bytes.make 64 'q')));
-  ignore (Store.commit_checkpoint store);
-  let fs = Store.flush_stats store in
+  let fs = Store.flush_stats (incremental_commit ()) in
   Printf.printf
     "  flush stats (4k-page incremental commit): %d extents (%d blocks), %d \
      device submissions, leaf cache %d hits / %d misses, %d alloc calls\n"

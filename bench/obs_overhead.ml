@@ -19,37 +19,15 @@
    @bench-smoke fails if instrumentation creeps onto a hot path. *)
 
 module Clock = Aurora_sim.Clock
-module Striped = Aurora_block.Striped
-module Store = Aurora_objstore.Store
 module Trace = Aurora_obs.Trace
 module Metrics = Aurora_obs.Metrics
 
-let payload i = Bytes.make 64 (Char.chr (32 + (i mod 90)))
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* One flush-scale style incremental commit of [n] dirty pages; returns
-   the wall-clock of the commit itself. *)
-let commit_walltime n =
-  let clock = Clock.create () in
-  let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
-  let oid = Store.alloc_oid store in
-  ignore (Store.begin_checkpoint store);
-  Store.put_object store ~oid ~kind:"bench" ~meta:"obs-overhead";
-  Store.put_pages store ~oid (List.init n (fun i -> (i, payload i)));
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  ignore (Store.begin_checkpoint store);
-  Store.put_pages store ~oid (List.init n (fun i -> (i, payload (i + 1))));
-  Gc.compact ();
-  let (), w = wall (fun () -> ignore (Store.commit_checkpoint store)) in
-  w
-
-let sweep sizes = List.fold_left (fun acc n -> acc +. commit_walltime n) 0.0 sizes
+let sweep sizes =
+  List.fold_left
+    (fun acc n ->
+      let _, _, w = Flush_scale.incremental_commit n in
+      acc +. w)
+    0.0 sizes
 
 let best_of k f =
   let best = ref infinity in
@@ -61,11 +39,11 @@ let best_of k f =
 
 let per_call_ns iters f =
   Gc.compact ();
-  let (), w = wall (fun () -> for _ = 1 to iters do f () done) in
+  let (), w = Flush_scale.wall (fun () -> for _ = 1 to iters do f () done) in
   w *. 1e9 /. float_of_int iters
 
-let () =
-  let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
+let main mode =
+  let smoke = mode = Harness.Smoke in
   let sizes = if smoke then [ 1024; 4096 ] else [ 1024; 4096; 16384 ] in
   let iters = if smoke then 2_000_000 else 5_000_000 in
   Trace.disable ();

@@ -138,6 +138,4 @@ let run ~epochs =
     exit 1
   end
 
-let () =
-  let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
-  run ~epochs:(if smoke then 6 else 40)
+let main mode = run ~epochs:(if mode = Harness.Smoke then 6 else 40)

@@ -18,8 +18,7 @@ let enumeration_ok = ref true
    shrinks below it (a recorder regression silently emitting fewer
    device-submission boundaries) fails the sweep even with zero crash
    failures. *)
-let run_enumeration ?floor label ops =
-  let r = Torture.enumerate ops in
+let report ?floor label r =
   Printf.printf "enumerate %-18s %4d boundaries, %5d crash points, %d failures\n%!"
     label r.Torture.r_boundaries r.Torture.r_crash_points
     (List.length r.Torture.r_failures);
@@ -35,6 +34,8 @@ let run_enumeration ?floor label ops =
       enumeration_ok := false
   | _ -> ())
 
+let run_enumeration ?floor label ops = report ?floor label (Torture.enumerate ops)
+
 (* Two small per-tenant workloads, deterministic so the boundary/crash-point
    counts below are stable run to run.  Kept shorter than [standard]: the
    pair enumeration replays the combined workload once per crash point. *)
@@ -43,15 +44,7 @@ let pair_workloads ~seed =
   (gen seed, gen (seed lxor 0x5f5f))
 
 let run_pair_enumeration label (ops_a, ops_b) =
-  let r = Torture.enumerate_pair ops_a ops_b in
-  Printf.printf
-    "enumerate %-18s %4d boundaries, %5d crash points, %d failures\n%!" label
-    r.Torture.r_boundaries r.Torture.r_crash_points
-    (List.length r.Torture.r_failures);
-  List.iter
-    (fun f -> Printf.printf "  FAIL %s\n%!" (Torture.pp_failure f))
-    r.Torture.r_failures;
-  if r.Torture.r_failures <> [] then enumeration_ok := false
+  report label (Torture.enumerate_pair ops_a ops_b)
 
 let run_sweep label ~seed ~runs profile =
   let s = Torture.sweep ~seed ~runs profile in
@@ -118,16 +111,10 @@ let deep seed =
       p_flip = 0.0;
     }
 
-let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "fast" :: _ | [ _ ] -> fast ()
-  | _ :: "deep" :: rest ->
-      let seed = match rest with s :: _ -> int_of_string s | [] -> 20260807 in
-      deep seed
-  | _ ->
-      prerr_endline "usage: torture_sweep [fast | deep [seed]]";
-      exit 2);
-  if not !enumeration_ok then begin
-    prerr_endline "torture_sweep: crash-point enumeration found failures";
-    exit 1
-  end
+let main mode =
+  enumeration_ok := true;
+  (match mode with
+  | Harness.Deep seed -> deep (Option.value seed ~default:20260807)
+  | _ -> fast ());
+  if not !enumeration_ok then
+    Harness.fail "torture_sweep: crash-point enumeration found failures"

@@ -24,7 +24,7 @@ module Page = Aurora_vm.Page
 
 let words_ceiling = 48.0
 
-let words_per_page ~npages =
+let words_per_page npages =
   let sys = Sls.boot () in
   let p = Syscall.spawn sys.Sls.machine ~name:"verify-gate" in
   let addr = Vm_space.addr_of_entry (Syscall.mmap_anon p ~npages) in
@@ -46,15 +46,5 @@ let words_per_page ~npages =
   (Gc.minor_words () -. w0) /. float_of_int npages
 
 let gate ~small ~large =
-  let w_small = words_per_page ~npages:small in
-  let w_large = words_per_page ~npages:large in
-  Printf.printf
-    "gate: verify_epoch words/page %.1f at %d pages, %.1f at %d pages (need each <= %.0f)\n"
-    w_small small w_large large words_ceiling;
-  if w_small > words_ceiling || w_large > words_ceiling then begin
-    Printf.eprintf
-      "verify gate: FAIL: verify_epoch words/page %.1f at %d pages, %.1f at %d \
-       pages (need each <= %.0f)\n"
-      w_small small w_large large words_ceiling;
-    exit 1
-  end
+  Harness.alloc_gate ~what:"verify_epoch words/page" ~unit_:"pages" ~digits:1
+    ~ceiling:words_ceiling ~small ~large words_per_page

@@ -21,6 +21,8 @@ let dynamic_service_ns = 1_800
 let parse_ns_base = 180
 let static_body_bytes = 512
 let dynamic_body_bytes = 128
+let static_pages = 64
+let keep_alive_max = 200
 
 type conn = {
   c_id : int;
@@ -39,16 +41,13 @@ type t = {
   kq_fd : int;
   workers : Resource.t array;
   static_base : int;
-  static_pages : int;
   dynamic_base : int;
   dynamic_pages : int;
-  keep_alive_max : int;
   mutable next_conn_id : int;
   mutable served : int;
 }
 
-let create ~machine ?(workers = 4) ?(static_pages = 64) ?(dynamic_pages = 64)
-    ?(keep_alive_max = 200) () =
+let create ~machine ?(workers = 4) ?(dynamic_pages = 64) () =
   let proc = Syscall.spawn machine ~name:"httpd" in
   let client = Syscall.spawn machine ~name:"wrk" in
   let listen_fd = Syscall.socket machine proc Socket.Inet Socket.Tcp in
@@ -82,16 +81,13 @@ let create ~machine ?(workers = 4) ?(static_pages = 64) ?(dynamic_pages = 64)
     workers = Array.init (max 1 workers) (fun i ->
         Resource.create ~name:(Printf.sprintf "httpd-worker-%d" i));
     static_base;
-    static_pages;
     dynamic_base;
     dynamic_pages;
-    keep_alive_max;
     next_conn_id = 0;
     served = 0;
   }
 
 let proc t = t.http_proc
-let served t = t.served
 
 let connect t =
   let cfd = Syscall.socket t.machine t.client_proc Socket.Inet Socket.Tcp in
@@ -184,7 +180,7 @@ let serve_one t c ~now ~head_bytes ?on route =
   let body_bytes, base_ns =
     match route with
     | Http_load.Static i ->
-        let page = i mod t.static_pages in
+        let page = i mod static_pages in
         Vm_space.touch_read t.http_proc.Process.space
           ~addr:(t.static_base + (page * Page.logical_size))
           ~len:static_body_bytes;
@@ -234,7 +230,7 @@ let serve_one t c ~now ~head_bytes ?on route =
       ~cat:"http" "respond";
   c.c_served <- c.c_served + 1;
   t.served <- t.served + 1;
-  let closed = c.c_served >= t.keep_alive_max in
+  let closed = c.c_served >= keep_alive_max in
   if closed then begin
     Syscall.kevent_deregister t.http_proc ~fd:t.kq_fd ~ident:c.c_server_fd
       ~filter:Kqueue.Ev_read;

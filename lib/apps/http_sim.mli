@@ -27,9 +27,7 @@ type conn = {
 val create :
   machine:Aurora_kern.Machine.t ->
   ?workers:int ->
-  ?static_pages:int ->
   ?dynamic_pages:int ->
-  ?keep_alive_max:int ->
   unit ->
   t
 (** Spawn the server ("httpd") and client ("wrk") processes, bind and
@@ -38,9 +36,6 @@ val create :
 
 val proc : t -> Aurora_kern.Process.t
 (** The server process — the thing a consistency group checkpoints. *)
-
-val served : t -> int
-(** Total requests served since {!create}. *)
 
 val connect : t -> conn
 (** Client-side connect: SYN to the listener, acceptor wakes via

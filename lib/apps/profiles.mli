@@ -17,10 +17,7 @@ type profile = {
   fds : int;  (** per process: a mix of files, sockets and pipes *)
 }
 
-val firefox : profile
 val mosh : profile
-val pillow : profile
-val tomcat : profile
 val vim : profile
 val all : profile list
 

@@ -34,7 +34,6 @@ let create ~machine ?(client_connections = 240) ~resident_mib () =
   { rd_proc = proc; base; pages; machine }
 
 let proc t = t.rd_proc
-let resident_pages t = t.pages
 
 type rdb_breakdown = { fork_stop_ns : int; serialize_write_ns : int }
 

@@ -17,7 +17,6 @@ val create :
   t
 
 val proc : t -> Aurora_kern.Process.t
-val resident_pages : t -> int
 
 type rdb_breakdown = {
   fork_stop_ns : int;  (** application stopped while fork marks COW *)

@@ -81,9 +81,6 @@ let create ~sys ~nkeys ?(wal_limit = 32 * 1024 * 1024) ?(wal_group_size = 48) ()
     ~node_base:(Vm_space.addr_of_entry nodes)
     ~value_base:(Vm_space.addr_of_entry values)
 
-let group t = t.grp
-let proc t = t.db_proc
-
 let touch_node t key ~write =
   let addr = t.node_base + (key / nodes_per_page * Page.logical_size) in
   if write then Vm_space.touch_write t.db_proc.Process.space ~addr ~len:64

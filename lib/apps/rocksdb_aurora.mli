@@ -25,9 +25,6 @@ val create :
     thousands of writes, with the post-checkpoint refault cost spread
     correspondingly thin. *)
 
-val group : t -> Aurora_core.Group.t
-val proc : t -> Aurora_kern.Process.t
-
 val put : t -> key:int -> value_bytes:int -> int
 (** Durable on return (same guarantee as the vanilla WAL); returns
     latency in ns.  Puts that fill the journal trigger the checkpoint and

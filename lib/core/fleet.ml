@@ -143,11 +143,8 @@ let create ?bandwidth ~period_ns specs =
   }
 
 let clock t = t.f_clock
-let tenant_name t i = t.f_tenants.(i).t_spec.sp_name
 let machine t i = t.f_tenants.(i).t_machine
-let group t i = t.f_tenants.(i).t_group
 let store t i = t.f_tenants.(i).t_store
-let device t i = t.f_tenants.(i).t_device
 let handles t i = t.f_tenants.(i).t_handles
 
 (* One tenant's checkpoint, with fleet accounting: stop-time histogram,

@@ -41,11 +41,8 @@ val create : ?bandwidth:int -> period_ns:int -> spec list -> t
     aggregate, [nvme_stripe_devices * nvme_device_bandwidth]). *)
 
 val clock : t -> Aurora_sim.Clock.t
-val tenant_name : t -> int -> string
 val machine : t -> int -> Aurora_kern.Machine.t
-val group : t -> int -> Group.t
 val store : t -> int -> Aurora_objstore.Store.t
-val device : t -> int -> Aurora_block.Striped.t
 
 type proc_handle = {
   ph_proc : Aurora_kern.Process.t;

@@ -191,7 +191,6 @@ let attach ~machine ~store ?fs ?(period_ns = 10_000_000) ?group_oid procs =
 
 let machine t = t.mach
 let store t = t.st
-let fs t = t.filesystem
 let clock t = t.mach.Machine.clock
 let period_ns t = t.period
 
@@ -207,7 +206,6 @@ let detach_process t p =
 
 let set_ext_sync t v = t.ext_sync <- v
 let set_speculative t v = t.speculative <- v
-let group_oid t = t.grp_oid
 let last_epoch t = t.last_epoch_committed
 
 let name_checkpoint t name =

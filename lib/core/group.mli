@@ -100,11 +100,8 @@ val attach :
 
 val machine : t -> Aurora_kern.Machine.t
 val store : t -> Aurora_objstore.Store.t
-val fs : t -> Aurora_fs.Fs.t option
 val clock : t -> Aurora_sim.Clock.t
 val period_ns : t -> int
-
-val members : t -> Aurora_kern.Process.t list
 
 val add_process : t -> Aurora_kern.Process.t -> unit
 val detach_process : t -> Aurora_kern.Process.t -> unit
@@ -189,7 +186,6 @@ val resident_group_pages : t -> int
 
 (** {1 Used by the restore path and the API} *)
 
-val group_oid : t -> int
 val register_restored_memobj :
   t -> oid:int -> Aurora_vm.Vm_object.t -> unit
 (** Seed the group's memory-object table after a restore so subsequent

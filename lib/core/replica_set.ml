@@ -827,7 +827,12 @@ type migration_report = {
   mig_identical : bool;
 }
 
-let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
+(* Pre-copy stops after [migrate_max_rounds] rounds, or once a round's
+   delta is under [migrate_stop_ratio] of the first full stream. *)
+let migrate_max_rounds = 8
+let migrate_stop_ratio = 0.1
+
+let migrate_live ?(window = 4) ?link
     ~primary ~target_store ~machine ~workload () =
   let link =
     match link with Some l -> l | None -> Link.create ~name:"migrate" ()
@@ -838,7 +843,7 @@ let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
   let clk = pclock t in
   let t_begin = Clock.now clk in
   Otrace.with_span ~cat:"rset" ~name:"migrate"
-    ~args:[ ("max_rounds", Otrace.Int max_rounds) ]
+    ~args:[ ("max_rounds", Otrace.Int migrate_max_rounds) ]
   @@ fun () ->
   (* Pre-copy: the service keeps running (the workload mutates between
      rounds, modeling execution concurrent with the previous round's
@@ -847,7 +852,7 @@ let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
   let precopy = ref 0 in
   let rounds = ref 0 in
   (try
-     for r = 1 to max_rounds do
+     for r = 1 to migrate_max_rounds do
        rounds := r;
        workload r;
        ignore (Group.checkpoint ~wait_durable:true primary);
@@ -859,7 +864,7 @@ let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
        precopy := !precopy + shipped;
        (* Converged: the last delta is a small fraction of the full
           stream, so the stop-and-copy tail will be short. *)
-       if r > 1 && float_of_int shipped < stop_ratio *. float_of_int !first_bytes
+       if r > 1 && float_of_int shipped < migrate_stop_ratio *. float_of_int !first_bytes
        then raise Exit
      done
    with Exit -> ());

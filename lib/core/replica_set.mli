@@ -78,9 +78,6 @@ val create :
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
 
-val quorum : t -> int
-(** ⌈(N+1)/2⌉ — acks needed before an epoch is quorum-committed. *)
-
 val ship : t -> unit
 (** Pick up every primary epoch checkpointed since the last call (each
     becomes one sequenced delta frame in the shared epoch log), then pump
@@ -198,8 +195,6 @@ type migration_report = {
 
 val migrate_live :
   ?window:int ->
-  ?max_rounds:int ->
-  ?stop_ratio:float ->
   ?link:Aurora_net.Link.t ->
   primary:Group.t ->
   target_store:Aurora_objstore.Store.t ->
@@ -209,9 +204,8 @@ val migrate_live :
   (migration_report, string) result
 (** Iterative pre-copy: round [r] runs [workload r] (the still-live
     service dirtying state), checkpoints, and pipelines the delta to the
-    target; rounds stop when the delta shrinks below [stop_ratio]
-    (default 0.1) of the first full stream or [max_rounds] (default 8)
-    is hit.  Cut-over: the workload stops, a final delta ships, and the
-    target machine restores the verified epoch; downtime is that whole
-    tail, measured in virtual time.  [Error] if the target store ends up
+    target; rounds stop when the delta shrinks below 0.1 of the first
+    full stream, or after 8 rounds.  Cut-over: the workload stops, a
+    final delta ships, and the target machine restores the verified
+    epoch; downtime is that whole tail, measured in virtual time.  [Error] if the target store ends up
     evicted (link too hostile) or the restore fails. *)

@@ -320,14 +320,19 @@ let restore_proc ctx (image : Serial.proc_image) =
 
 (* Entry point ------------------------------------------------------------------------------ *)
 
-let groups_at ~store ~epoch =
+(* The parsed group objects among [objects], an epoch's [objects_at]. *)
+let group_images ~store ~epoch objects =
   List.filter_map
     (fun (oid, kind) ->
       if kind = Serial.kind_group then
-        let image = Serial.group_of_string (Store.read_meta store ~epoch ~oid) in
-        Some (oid, image.Serial.i_proc_oids)
+        Some (oid, Serial.group_of_string (Store.read_meta store ~epoch ~oid))
       else None)
-    (Store.objects_at store ~epoch)
+    objects
+
+let groups_at ~store ~epoch =
+  List.map
+    (fun (oid, image) -> (oid, image.Serial.i_proc_oids))
+    (group_images ~store ~epoch (Store.objects_at store ~epoch))
 
 let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let epoch =
@@ -371,15 +376,7 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   (match restored_fs with Some filesystem -> Machine.mount machine (Fs.vfs_ops filesystem) | None -> ());
   (* The group object drives everything else. *)
   let group_oid, group_image =
-    let candidates =
-      List.filter_map
-        (fun (oid, kind) ->
-          if kind = Serial.kind_group then
-            Some (oid, Serial.group_of_string (Store.read_meta store ~epoch ~oid))
-          else None)
-        objects
-    in
-    match (candidates, group_oid) with
+    match (group_images ~store ~epoch objects, group_oid) with
     | [], _ -> failwith "restore: no consistency group in checkpoint"
     | [ g ], None -> g
     | gs, Some want -> (
@@ -467,19 +464,11 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   in
   Group.set_ext_sync group group_image.Serial.i_ext_sync_on;
   Group.set_named group group_image.Serial.i_name_ckpts;
-  List.iter
-    (fun (p : Process.t) ->
-      match
-        List.find_opt
-          (fun (oid, kind) ->
-            kind = Serial.kind_proc
-            && (Serial.proc_of_string (Store.read_meta store ~epoch ~oid)).Serial.i_pid_local
-               = p.Process.pid_local)
-          objects
-      with
-      | Some (oid, _) -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid
-      | None -> ())
-    procs;
+  (* Each process keeps the oid it was restored from: local pids are
+     per group, so another group in the store may reuse this one. *)
+  List.iter2
+    (fun (p : Process.t) oid -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid)
+    procs group_image.Serial.i_proc_oids;
   Hashtbl.iter
     (fun oid (d : Fdesc.t) -> Group.seed_desc_oid group ~desc_id:d.Fdesc.desc_id ~oid)
     ctx.descs;

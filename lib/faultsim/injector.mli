@@ -21,7 +21,6 @@ type profile = {
   p_flip : float;
 }
 
-val no_faults : profile
 val read_errors_profile : float -> profile
 val write_loss_profile : float -> profile
 

@@ -61,10 +61,6 @@ val enumerate : ?misorder:bool -> Workload.op list -> report
 
 type side = A | B
 
-val interleave : Workload.op list -> Workload.op list -> (side * Workload.op) list
-(** Round-robin merge (A first); the tail of the longer list runs out
-    solo. *)
-
 val enumerate_pair : Workload.op list -> Workload.op list -> report
 (** Enumerate every crash point of the interleaved two-tenant workload.
     Failures carry the affected tenant in [f_detail]. *)

@@ -21,7 +21,6 @@ type op =
   | Wait  (** [Store.wait_durable]. *)
   | Advance of int  (** Advance the virtual clock. *)
 
-val payload_size : int
 val page_payload : char -> bytes
 
 val journal_record_len : string -> int

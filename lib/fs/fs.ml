@@ -38,7 +38,6 @@ let create ~store =
     namespace_dirty = true;
   }
 
-let store t = t.st
 let clock t = Store.clock t.st
 
 let lookup t path =
@@ -91,7 +90,6 @@ let rename t ~src ~dst =
       t.namespace_dirty <- true;
       true
 
-let paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.names [] |> List.sort compare
 let vnode_by_inode t ino = Hashtbl.find_opt t.vnodes ino
 
 let write t vn ~off data =

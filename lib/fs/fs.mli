@@ -23,16 +23,12 @@ type t
 val create : store:Aurora_objstore.Store.t -> t
 (** A fresh, empty file system over the store. *)
 
-val store : t -> Aurora_objstore.Store.t
-val clock : t -> Aurora_sim.Clock.t
-
 (** {1 Namespace} *)
 
 val lookup : t -> string -> Aurora_kern.Vnode.t option
 val create_file : t -> string -> Aurora_kern.Vnode.t
 val unlink : t -> string -> bool
 val rename : t -> src:string -> dst:string -> bool
-val paths : t -> string list
 val vnode_by_inode : t -> int -> Aurora_kern.Vnode.t option
 
 (** {1 Data} *)

@@ -34,8 +34,6 @@ val generation : t -> int
 (** Monotonic mutation stamp over the serialized image (kind payload —
     offset/append for files — and the ext_sync flag). *)
 
-val touch : t -> unit
-
 val set_ext_sync : t -> bool -> unit
 (** Flip external synchrony, bumping the stamp on change. *)
 

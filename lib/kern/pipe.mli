@@ -14,9 +14,6 @@ val generation : t -> int
     checkpoints skip re-serializing a pipe whose stamp matches the last
     persisted one. *)
 
-val touch : t -> unit
-(** Bump the generation stamp explicitly. *)
-
 val knlist : t -> Kqueue.knlist
 (** Knotes watching either end.  [write], [read] and [refill] activate
     them when the buffer changes. *)

@@ -46,7 +46,6 @@ let create ~clock ~pid ~tid ~ppid ~name =
   }
 
 let touch t = t.gen <- t.gen + 1
-let generation t = t.gen
 
 (* The serialized process image folds in every thread's CPU/signal state
    and the address-space layout, so the stamp the checkpointer compares is

@@ -42,7 +42,6 @@ val create :
   clock:Aurora_sim.Clock.t -> pid:int -> tid:int -> ppid:int -> name:string -> t
 
 val touch : t -> unit
-val generation : t -> int
 
 val effective_generation : t -> int
 (** Stamp over the full serialized process image: the process's own stamp

@@ -29,8 +29,6 @@ val generation : t -> int
 (** Monotonic mutation stamp over the serialized image (termios + both
     byte queues). *)
 
-val touch : t -> unit
-
 val master_write : t -> string -> unit
 (** Bytes typed at the master appear on the slave's input. *)
 

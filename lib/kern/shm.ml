@@ -27,9 +27,6 @@ let kind t = t.shm_kind
 let npages t = t.pages
 let backing t = t.vobj
 let generation t = t.gen
-let touch t =
-  t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_shm ~id:t.shm_id
 
 (* No generation bump: system shadowing swings the backmap at EVERY
    checkpoint, but the serialized image names the stable memory-object

@@ -26,5 +26,3 @@ val set_backing : t -> Aurora_vm.Vm_object.t -> unit
 val generation : t -> int
 (** Monotonic mutation stamp (kind, size and backing identity are
     immutable, so this only moves if a future mutation site bumps it). *)
-
-val touch : t -> unit

@@ -35,8 +35,6 @@ val generation : t -> int
     TCP state, peer link, buffered messages).  [send] to a connected peer
     stamps the {e peer} (whose receive queue changed), not the sender. *)
 
-val touch : t -> unit
-
 val bind : t -> addr -> unit
 val connect : t -> addr -> unit
 val local_addr : t -> addr option

@@ -43,8 +43,6 @@ val generation : t -> int
     mask, pending signals, priority).  The run state is not serialized and
     does not move it. *)
 
-val touch : t -> unit
-
 val set_rip : t -> int -> unit
 val set_sigmask : t -> int -> unit
 

@@ -30,8 +30,6 @@ val generation : t -> int
     staged image so metadata-only changes (truncate, link count) restage
     the vnode even when no page is dirty. *)
 
-val touch : t -> unit
-
 val links : t -> int
 val link : t -> unit
 val unlink : t -> unit

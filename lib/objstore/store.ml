@@ -515,7 +515,6 @@ let format ~dev ~clock =
   t
 
 let clock t = t.clk
-let device t = t.dev
 
 let alloc_oid t =
   t.next_oid <- t.next_oid + 1;

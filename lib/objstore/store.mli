@@ -49,7 +49,6 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     {!Corrupt_store} if no valid superblock is found. *)
 
 val clock : t -> Aurora_sim.Clock.t
-val device : t -> Aurora_block.Striped.t
 val alloc_oid : t -> int
 
 val reserve_oids : t -> upto:int -> unit

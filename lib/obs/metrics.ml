@@ -44,7 +44,6 @@ let set_gauge g v = if !enabled then g.g_value <- v
 let gauge_value g = g.g_value
 let observe h x = if !enabled then Histogram.add h.h_samples x
 let observe_ns h n = observe h (float_of_int n)
-let samples h = h.h_samples
 
 let summary h =
   let s = h.h_samples in

@@ -35,7 +35,6 @@ val gauge_value : gauge -> int
 
 val observe : histogram -> float -> unit
 val observe_ns : histogram -> int -> unit
-val samples : histogram -> Aurora_util.Histogram.t
 
 val summary : histogram -> int * float * float * float
 (** [(count, p50, p99, max)] with interpolated percentiles; all zeros

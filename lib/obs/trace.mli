@@ -13,7 +13,7 @@
     Every recording entry point first checks the singleton: when
     disabled, [with_span] is a single branch plus the call to the traced
     thunk, and the other entry points are a single branch — cheap enough
-    to leave in every hot path (gated by [bench/obs_overhead.exe]).
+    to leave in every hot path (gated by [bench/main.exe obs_overhead]).
     Call sites that must compute arguments should guard with {!is_on} so
     argument construction is also skipped when disabled. *)
 

@@ -10,7 +10,6 @@ type 'a t = {
 }
 
 let create () = { heap = Array.make 64 None; len = 0; next_seq = 0 }
-let is_empty t = t.len = 0
 let length t = t.len
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

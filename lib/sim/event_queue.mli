@@ -11,7 +11,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 
 val schedule : 'a t -> time:int -> 'a -> unit

@@ -26,8 +26,6 @@ let of_bytes b =
   done;
   !h
 
-let of_string s = of_bytes (Bytes.unsafe_of_string s)
-
 (* splitmix-style finalizer keeps single-bit input differences from
    producing correlated outputs under XOR folding. *)
 let finalize h =

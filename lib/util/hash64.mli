@@ -8,9 +8,6 @@
 val of_bytes : bytes -> int
 (** Hash of a byte buffer's full contents. *)
 
-val of_string : string -> int
-(** [of_string s] = [of_bytes (Bytes.of_string s)], without the copy. *)
-
 val pair : int -> int -> int
 (** [pair a b] hashes the ordered pair [(a, b)]; distinct pairs map to
     well-distributed values, so an XOR fold of [pair idx digest] over a

@@ -40,7 +40,6 @@ let stddev t =
     sqrt (sq /. float_of_int t.len)
   end
 
-let min t = if t.len = 0 then 0.0 else fold Stdlib.min infinity t
 let max t = if t.len = 0 then 0.0 else fold Stdlib.max neg_infinity t
 
 let ensure_sorted t =

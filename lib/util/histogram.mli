@@ -21,7 +21,6 @@ val mean : t -> float
 val stddev : t -> float
 (** Population standard deviation; 0 when empty. *)
 
-val min : t -> float
 val max : t -> float
 
 val percentile : t -> float -> float

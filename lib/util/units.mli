@@ -13,9 +13,6 @@ val pages_of_bytes : int -> int
 (** Number of 4 KiB pages (the simulated machine's page size) covering
     [bytes], rounding up. *)
 
-val us : int
-(** Nanoseconds in a microsecond. *)
-
 val ms : int
 (** Nanoseconds in a millisecond. *)
 

@@ -31,11 +31,10 @@ val alloc_sized : payload:int -> t
 val alloc_init : (int -> char) -> t
 (** A fresh compact page with payload byte [i] = [f i]. *)
 
-val id : t -> int
-(** Unique identity; survives moves between VM objects but not copies. *)
-
 val copy : t -> t
-(** A fresh page with the same payload (used by COW faults). *)
+(** A fresh page with the same payload (used by COW faults).  A page's
+    identity is physical: it survives moves between VM objects, and a
+    copy is [!=] its source. *)
 
 val get : t -> int -> char
 (** [get p off] with [off] a logical offset in [0, logical_size). *)
@@ -49,8 +48,3 @@ val load_payload : t -> bytes -> unit
 (** Replace the payload (restore path); adopts the input's length. *)
 
 val equal_content : t -> t -> bool
-
-val fingerprint : t -> int
-(** The {!Aurora_util.Hash64} digest of the payload, memoized and
-    invalidated on every mutation.  This is the same hash the object
-    store's content-addressed page index keys on. *)

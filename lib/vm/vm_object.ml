@@ -82,9 +82,6 @@ let set_parent t p = t.shadow_parent <- p
 
 type collapse_direction = Stock_freebsd | Aurora_reverse
 
-let last_collapse_moves = ref 0
-let pages_moved_by_last_collapse () = !last_collapse_moves
-
 let collapse ~clock ~direction shadow_obj =
   let parent_obj =
     match shadow_obj.shadow_parent with
@@ -118,6 +115,5 @@ let collapse ~clock ~direction shadow_obj =
         parent_obj.refs <- shadow_obj.refs;
         parent_obj
   in
-  last_collapse_moves := !moves;
   Clock.advance clock (!moves * Cost.collapse_page_move);
   survivor

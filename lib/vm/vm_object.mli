@@ -75,11 +75,9 @@ val collapse : clock:Aurora_sim.Clock.t -> direction:collapse_direction -> t -> 
 (** [collapse ~clock ~direction shadow] merges [shadow] with its parent and
     returns the surviving object (the shadow under [Stock_freebsd], the
     parent under [Aurora_reverse]).  The shadow's version of a page wins in
-    both directions.  Raises [Invalid_argument] if [shadow] has no parent.
-    The caller re-points mappings at the survivor. *)
-
-val pages_moved_by_last_collapse : unit -> int
-(** Instrumentation for the collapse-direction ablation. *)
+    both directions.  Charges [Cost.collapse_page_move] per page moved.
+    Raises [Invalid_argument] if [shadow] has no parent.  The caller
+    re-points mappings at the survivor. *)
 
 val set_parent : t -> t option -> unit
 (** Re-point the shadow parent.  The orchestrator uses this after a

@@ -42,7 +42,6 @@ let create ~clock =
     spec_structural = false;
   }
 
-let clock t = t.clk
 let map t = t.vmap
 let pmap t = t.phys
 let stats t = t.st
@@ -159,7 +158,7 @@ let access t ~vpn ~write =
          collapse may have changed which page backs this address. *)
       let idx = obj_index e vpn in
       match lookup_nocharge e.obj idx with
-      | Some (page, _) when Page.id page = Page.id pte.page ->
+      | Some (page, _) when page == pte.page ->
           if write && not pte.writable then
             (* Downgraded by checkpoint shadowing or fork: refault. *)
             handle_fault t e vpn ~write:true

@@ -29,7 +29,6 @@ type t
 
 val create : clock:Aurora_sim.Clock.t -> t
 
-val clock : t -> Aurora_sim.Clock.t
 val map : t -> Vm_map.t
 val pmap : t -> Pmap.t
 val stats : t -> stats

@@ -22,8 +22,12 @@ let path_of_route = function
    static or dynamic class deterministically, so the hot head of the
    distribution contains both cacheable and mutating routes in
    [dynamic_ratio] proportion. *)
+(* Fraction of requests sent as two segments, exercising the server's
+   incremental parse buffer. *)
+let frag_prob = 0.15
+
 let generate ~seed ~rate ~duration_ns ~conns ~static_routes ~dynamic_routes
-    ?(dynamic_ratio = 0.3) ?(theta = 0.99) ?(frag_prob = 0.15) () =
+    ?(dynamic_ratio = 0.3) ?(theta = 0.99) () =
   let rng = Rng.create seed in
   let nroutes = static_routes + dynamic_routes in
   let zipf = Zipf.create ~n:nroutes ~theta (Rng.split rng) in

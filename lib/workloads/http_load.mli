@@ -28,10 +28,9 @@ val generate :
   dynamic_routes:int ->
   ?dynamic_ratio:float ->
   ?theta:float ->
-  ?frag_prob:float ->
   unit ->
   req list
 (** Deterministic for a fixed seed; arrival times strictly increase.
     [dynamic_ratio] (default 0.3) is the probability mass routed to
-    mutating handlers, [theta] (default 0.99) the zipf skew, [frag_prob]
-    (default 0.15) the fraction of requests split across two segments. *)
+    mutating handlers, [theta] (default 0.99) the zipf skew; 15% of
+    requests are split across two segments. *)

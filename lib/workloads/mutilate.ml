@@ -14,5 +14,3 @@ let next t =
   let key = Zipf.sample t.keys in
   if Rng.float t.rng 1.0 < t.get_ratio then Get key
   else Set (key, Rng.int_in t.rng 64 (2 * mean_value_bytes))
-
-let nkeys t = Zipf.n t.keys

@@ -11,5 +11,4 @@ val create : ?nkeys:int -> ?get_ratio:float -> ?theta:float -> seed:int -> unit 
 (** Defaults: 1M keys, 0.9 GET ratio (ETC's read-dominance), theta 0.99. *)
 
 val next : t -> op
-val nkeys : t -> int
 val mean_value_bytes : int

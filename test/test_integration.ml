@@ -20,6 +20,7 @@ module Restore = Aurora_core.Restore
 module Migrate = Aurora_core.Migrate
 module Replica_set = Aurora_core.Replica_set
 module Memcached_bench = Aurora_apps.Memcached_bench
+module Http_sim = Aurora_apps.Http_sim
 
 (* Swap / memory overcommitment (paper section 6) ------------------------- *)
 
@@ -706,6 +707,48 @@ let test_two_consistency_groups_one_store () =
     [ ("container-a", "alpha v2 !!"); ("container-b", "beta state!") ]
     contents
 
+let test_two_groups_shared_local_pid () =
+  (* Two containers, each with its own pid namespace, checkpoint into one
+     store, so both groups hold a process with local pid 1.  Restoring
+     one of them must seed each process with the proc object it came
+     from: the next checkpoint rewrites that group's proc objects only. *)
+  let sys = Sls.boot () in
+  let spawn_in machine name =
+    let p = Syscall.spawn machine ~name in
+    Vm_space.write_string p.Process.space
+      ~addr:(Vm_space.addr_of_entry (Syscall.mmap_anon p ~npages:1))
+      name;
+    p
+  in
+  let other = Machine.create ~clock:sys.Sls.machine.Machine.clock () in
+  let pa = spawn_in sys.Sls.machine "container-a" in
+  let pb = spawn_in other "container-b" in
+  Alcotest.(check int) "local pids collide" pa.Process.pid_local pb.Process.pid_local;
+  let ga = Sls.attach sys [ pa ] in
+  let gb = Group.attach ~machine:other ~store:sys.Sls.store [ pb ] in
+  ignore (Group.checkpoint ~wait_durable:true ga);
+  ignore (Group.checkpoint ~wait_durable:true gb);
+  Sls.crash sys;
+  let machine = Machine.create () in
+  let store = Store.recover ~dev:sys.Sls.device ~clock:machine.Machine.clock in
+  let epoch = Store.last_complete_epoch store in
+  let groups = Restore.groups_at ~store ~epoch in
+  let proc_blocks epoch =
+    List.filter
+      (fun (oid, _) -> List.exists (fun (_, procs) -> List.mem oid procs) groups)
+      (Store.version_blocks store ~epoch)
+  in
+  let before = proc_blocks epoch in
+  (* B was attached and checkpointed second: its oids are the higher. *)
+  let b_oid, b_procs = List.nth groups 1 in
+  let r = Restore.restore ~machine ~store ~group_oid:b_oid () in
+  let after = (Group.checkpoint ~wait_durable:true r.Restore.group).Group.epoch in
+  Alcotest.(check (list int)) "B keeps its proc oids" b_procs
+    (List.assoc b_oid (Restore.groups_at ~store ~epoch:after));
+  let others = List.filter (fun (oid, _) -> not (List.mem oid b_procs)) in
+  Alcotest.(check (list (pair int int)))
+    "A's proc objects not rewritten" (others before) (others (proc_blocks after))
+
 let test_multi_round_precopy_migration () =
   (* Three pre-copy rounds: the stream shrinks every round as the dirty
      set stabilizes, and the destination resumes the final state. *)
@@ -835,6 +878,58 @@ let test_record_log_bounded_by_checkpoints () =
      superseded the inputs before it. *)
   Alcotest.(check int) "log truncated at checkpoints" 0
     (Aurora_core.Replay.Recorder.log_length recorder)
+
+(* In-process determinism -------------------------------------------------- *)
+
+(* Untraced virtual-time figures do not depend on what ran earlier in the
+   same process: the kernel's per-module id counters never reach an
+   output.  Each scenario runs twice in one process and must return
+   equal records. *)
+let test_in_process_determinism () =
+  let http speculative () =
+    Http_sim.run
+      {
+        Http_sim.default_config with
+        conns = 256;
+        duration_ns = 200_000_000;
+        period_ns = Some 10_000_000;
+        speculative;
+      }
+  in
+  let kv () =
+    Memcached_bench.run
+      {
+        Memcached_bench.period_ns = Some 10_000_000;
+        load = Memcached_bench.Closed_loop 64;
+        duration_ns = 50_000_000;
+        nkeys = 20_000;
+        seed = 3;
+        ext_sync = false;
+      }
+  in
+  let crash_restore () =
+    let sys = Sls.boot () in
+    let m = sys.Sls.machine in
+    let p = Syscall.spawn m ~name:"app" in
+    let addr = Vm_space.addr_of_entry (Syscall.mmap_anon p ~npages:64) in
+    Vm_space.touch_write p.Process.space ~addr ~len:(64 * 4096);
+    ignore (Syscall.pipe m p);
+    ignore (Syscall.socketpair m p);
+    ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+    let _sys, r = Sls.reboot_and_restore ~lazy_pages:true sys in
+    let space = (List.hd r.Restore.procs).Process.space in
+    let checkpoint text =
+      Vm_space.write_string space ~addr text;
+      Group.checkpoint ~wait_durable:true r.Restore.group
+    in
+    let first = checkpoint "after restore" in
+    (r.Restore.restore_ns, first, checkpoint "and again")
+  in
+  let twice name f = Alcotest.(check bool) name true (f () = f ()) in
+  twice "http stop-the-world" (http false);
+  twice "http speculative" (http true);
+  twice "memcached" kv;
+  twice "crash, lazy restore, two checkpoints" crash_restore
 
 (* High availability by continuous checkpoint shipping --------------------- *)
 
@@ -1042,6 +1137,7 @@ let () =
           Alcotest.test_case "crash generations" `Quick test_continuous_operation_across_crashes;
           Alcotest.test_case "journal interleaving" `Quick test_journal_and_checkpoint_interleaving;
           Alcotest.test_case "two groups one store" `Quick test_two_consistency_groups_one_store;
+          Alcotest.test_case "two groups shared local pid" `Quick test_two_groups_shared_local_pid;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "mmap file unified" `Quick test_mmap_file_unified_page_cache;
           Alcotest.test_case "scoped pid signals" `Quick test_pid_collision_scoped_signals;
@@ -1049,6 +1145,8 @@ let () =
           Alcotest.test_case "bounded history" `Quick test_bounded_history_under_continuous_checkpointing;
           Alcotest.test_case "prune then restore" `Quick test_history_prune_preserves_latest_restorability;
         ] );
+      ( "determinism",
+        [ Alcotest.test_case "twice in one process" `Quick test_in_process_determinism ] );
       ("high availability", [ Alcotest.test_case "failover" `Quick test_ha_failover ]);
       ( "migration",
         [
