@@ -91,8 +91,7 @@ type t = {
   mutable ext_sync : bool;
   grp_oid : int;
   proc_oids : (int, int) Hashtbl.t; (* pid_local -> oid *)
-  desc_oids : (int, int) Hashtbl.t; (* desc_id -> oid *)
-  sub_oids : (int, int) Hashtbl.t; (* [sub_key kind id] -> oid *)
+  oids : (int, int) Hashtbl.t; (* kernel-object id -> oid *)
   memrecs : (int, memrec) Hashtbl.t; (* logical object id -> memrec *)
   top_index : (int, memrec) Hashtbl.t; (* current top object id -> memrec *)
   mutable named : (string * int) list;
@@ -126,7 +125,7 @@ type t = {
   mutable c_conflict_pages : int; (* pages re-copied after the harvest *)
   spec_cpu : Resource.t; (* the spare core running speculative serialize *)
   spec_thunks : (int, spec_thunk) Hashtbl.t;
-      (* [sub_key (Genlog kind) kernel id] -> how to re-serialize the
+      (* kernel-object id -> how to re-serialize the
          object, live when the speculation pass of cycle [th_cycle]
          visited it; the validator re-runs exactly the logged conflict
          set instead of re-walking the graph *)
@@ -155,8 +154,7 @@ let attach ~machine ~store ?fs ?(period_ns = 10_000_000) ?group_oid procs =
       grp_oid =
         (match group_oid with Some oid -> oid | None -> Store.alloc_oid store);
       proc_oids = Hashtbl.create 16;
-      desc_oids = Hashtbl.create 64;
-      sub_oids = Hashtbl.create 64;
+      oids = Hashtbl.create 128;
       memrecs = Hashtbl.create 64;
       top_index = Hashtbl.create 64;
       named = [];
@@ -215,24 +213,14 @@ let named_checkpoints t = t.named
 
 (* Oid allocation, deduplicated by kernel object identity ------------------- *)
 
-(* One int key per (kind, kernel id); kinds are the Genlog tags (< 8). *)
-let sub_key kind id = (id lsl 3) lor kind
-
-let sub_oid t kind id =
-  let key = sub_key kind id in
-  match Hashtbl.find t.sub_oids key with
+(* Kernel ids are unique within the machine, so the id alone keys the
+   table. *)
+let kobj_oid t id =
+  match Hashtbl.find t.oids id with
   | oid -> oid
   | exception Not_found ->
       let oid = Store.alloc_oid t.st in
-      Hashtbl.replace t.sub_oids key oid;
-      oid
-
-let desc_oid t (d : Fdesc.t) =
-  match Hashtbl.find t.desc_oids d.Fdesc.desc_id with
-  | oid -> oid
-  | exception Not_found ->
-      let oid = Store.alloc_oid t.st in
-      Hashtbl.replace t.desc_oids d.Fdesc.desc_id oid;
+      Hashtbl.replace t.oids id oid;
       oid
 
 (* Memory records ------------------------------------------------------------ *)
@@ -294,8 +282,7 @@ let rec ensure_memrec t obj =
           r)
 
 let seed_proc_oid t ~pid_local ~oid = Hashtbl.replace t.proc_oids pid_local oid
-let seed_desc_oid t ~desc_id ~oid = Hashtbl.replace t.desc_oids desc_id oid
-let seed_sub_oid t ~kind ~id ~oid = Hashtbl.replace t.sub_oids (sub_key kind id) oid
+let seed_oid t ~id ~oid = Hashtbl.replace t.oids id oid
 let set_named t named = t.named <- named
 
 let register_restored_memobj t ~oid obj =
@@ -354,21 +341,23 @@ let spec_maybe_yield t =
     end
   end
 
-(* Record how to revisit a kernel object so a Genlog conflict note can be
-   resolved without re-walking the object graph: [revisit t x] re-runs
-   its checkpoint.  The closure is built once per object; a visit in a
-   later cycle only re-stamps it. *)
-let spec_register t ~kind ~id revisit x =
-  if t.spec_phase then
-    match Hashtbl.find t.spec_thunks (sub_key kind id) with
-    | th -> th.th_cycle <- t.cycle
-    | exception Not_found ->
-        Hashtbl.replace t.spec_thunks (sub_key kind id)
-          { th_cycle = t.cycle; th_run = (fun () -> revisit t x) }
+(* The oid of kernel object [x], whose id is [id], after recording how to
+   revisit it so a logged conflict note can be resolved without
+   re-walking the object graph: [revisit t x] re-runs its checkpoint.
+   The closure is built once per object; a visit in a later cycle only
+   re-stamps it. *)
+let visit_oid t id revisit x =
+  (if t.spec_phase then
+     match Hashtbl.find t.spec_thunks id with
+     | th -> th.th_cycle <- t.cycle
+     | exception Not_found ->
+         Hashtbl.replace t.spec_thunks id
+           { th_cycle = t.cycle; th_run = (fun () -> revisit t x) });
+  kobj_oid t id
 
 (* The thunk the current cycle's speculation registered for an object. *)
-let spec_thunk t ~kind ~id =
-  match Hashtbl.find t.spec_thunks (sub_key kind id) with
+let spec_thunk t id =
+  match Hashtbl.find t.spec_thunks id with
   | th when th.th_cycle = t.cycle -> Some th.th_run
   | _ -> None
   | exception Not_found -> None
@@ -467,8 +456,7 @@ let stage t ~oid ~gen ~kind meta =
   spec_maybe_yield t
 
 let rec checkpoint_pipe t pipe =
-  spec_register t ~kind:Genlog.kind_pipe ~id:(Pipe.id pipe) revisit_pipe pipe;
-  let oid = sub_oid t Genlog.kind_pipe (Pipe.id pipe) in
+  let oid = visit_oid t (Pipe.id pipe) revisit_pipe pipe in
   let gen = Pipe.generation pipe in
   (match visit t ~oid ~gen with
   | Seen | Skip -> ()
@@ -500,8 +488,7 @@ let kevent_image (e : Kqueue.kevent) =
   }
 
 let rec checkpoint_kqueue t kq =
-  spec_register t ~kind:Genlog.kind_kqueue ~id:(Kqueue.id kq) revisit_kqueue kq;
-  let oid = sub_oid t Genlog.kind_kqueue (Kqueue.id kq) in
+  let oid = visit_oid t (Kqueue.id kq) revisit_kqueue kq in
   let gen = Kqueue.generation kq in
   (match visit t ~oid ~gen with
   | Seen | Skip -> ()
@@ -514,8 +501,7 @@ let rec checkpoint_kqueue t kq =
 and revisit_kqueue t kq = ignore (checkpoint_kqueue t kq)
 
 let rec checkpoint_pty t pty =
-  spec_register t ~kind:Genlog.kind_pty ~id:(Pty.id pty) revisit_pty pty;
-  let oid = sub_oid t Genlog.kind_pty (Pty.id pty) in
+  let oid = visit_oid t (Pty.id pty) revisit_pty pty in
   let gen = Pty.generation pty in
   (match visit t ~oid ~gen with
   | Seen | Skip -> ()
@@ -543,8 +529,7 @@ let addr_image = function
 (* Sockets reference in-flight SCM_RIGHTS descriptions, so serializing one
    may recursively serialize descriptions not present in any fd table. *)
 let rec checkpoint_socket t sock =
-  spec_register t ~kind:Genlog.kind_socket ~id:(Socket.id sock) revisit_socket sock;
-  let oid = sub_oid t Genlog.kind_socket (Socket.id sock) in
+  let oid = visit_oid t (Socket.id sock) revisit_socket sock in
   let gen = Socket.generation sock in
   (match visit t ~oid ~gen with
   | Seen -> ()
@@ -572,7 +557,7 @@ let rec checkpoint_socket t sock =
       let peer_oid =
         match Socket.peer sock with
         | None -> 0
-        | Some p -> sub_oid t Genlog.kind_socket (Socket.id p)
+        | Some p -> kobj_oid t (Socket.id p)
       in
       stage t ~oid ~gen ~kind:Serial.kind_socket
         (Serial.socket_to_string
@@ -618,8 +603,7 @@ and msg_images t = function
 and revisit_socket t sock = ignore (checkpoint_socket t sock)
 
 and checkpoint_shm t shm =
-  spec_register t ~kind:Genlog.kind_shm ~id:(Shm.id shm) revisit_shm shm;
-  let oid = sub_oid t Genlog.kind_shm (Shm.id shm) in
+  let oid = visit_oid t (Shm.id shm) revisit_shm shm in
   let gen = Shm.generation shm in
   (match visit t ~oid ~gen with
   | Seen -> ()
@@ -663,8 +647,7 @@ and checkpoint_vnode_ref t vn =
   | None -> 0
 
 and checkpoint_desc t (d : Fdesc.t) =
-  spec_register t ~kind:Genlog.kind_fdesc ~id:d.Fdesc.desc_id revisit_desc d;
-  let oid = desc_oid t d in
+  let oid = visit_oid t d.Fdesc.desc_id revisit_desc d in
   let gen = Fdesc.generation d in
   (match visit t ~oid ~gen with
   | Seen -> ()
@@ -1038,7 +1021,7 @@ let stage_group_obj t ~proc_oids =
 
    The expensive OS-object serialize runs on a spare core while the
    workload keeps executing in concurrency windows; generation stamps,
-   the Genlog mutation log and the pmap's speculative dirty-bit plane
+   the machine's mutation log and the pmap's speculative dirty-bit plane
    record what changed underneath it.  Pre-stop refinement rounds chase
    the conflict set down while still soft; the short validation pass
    inside the stop window then re-copies only what moved since and
@@ -1114,11 +1097,10 @@ let spec_refine_round t procs =
       else charge t Cost.ckpt_dirty_check)
     procs;
   List.iter
-    (fun (kind, id) ->
-      match spec_thunk t ~kind ~id with Some thunk -> thunk () | None -> ())
-    (Genlog.drain ());
+    (fun id -> match spec_thunk t id with Some thunk -> thunk () | None -> ())
+    (Genlog.drain t.mach.Machine.log);
   iter_shm t (fun shm ->
-      match spec_thunk t ~kind:Genlog.kind_shm ~id:(Shm.id shm) with
+      match spec_thunk t (Shm.id shm) with
       | None -> ignore (checkpoint_shm t shm)
       | Some _ -> ());
   t.c_serialized - s0
@@ -1128,7 +1110,7 @@ let spec_refine_round t procs =
    stop window drain the rest). *)
 let speculate t procs spaces =
   List.iter Vm_space.spec_begin spaces;
-  Genlog.arm ();
+  Genlog.arm t.mach.Machine.log;
   t.spec_phase <- true;
   t.spec_busy_ns <- 0;
   t.spec_last_yield <- Clock.now (clock t);
@@ -1194,7 +1176,7 @@ let stop_capture t procs spaces =
     else ignore (spec_splice_pages t spaces : int);
   if t.persist then stage_group_obj t ~proc_oids:(List.map (proc_oid t) procs);
   List.iter Vm_space.spec_end spaces;
-  Genlog.disarm ()
+  Genlog.disarm t.mach.Machine.log
 
 (* Reset the cycle-scoped state, speculation tables included: a cycle
    whose soft window stays empty captures everything at the stop.  The

@@ -197,8 +197,7 @@ val prepare_after_restore : t -> unit
     path once the group is assembled. *)
 
 val seed_proc_oid : t -> pid_local:int -> oid:int -> unit
-val seed_desc_oid : t -> desc_id:int -> oid:int -> unit
-val seed_sub_oid : t -> kind:int -> id:int -> oid:int -> unit
+val seed_oid : t -> id:int -> oid:int -> unit
 val set_named : t -> (string * int) list -> unit
 (** Restore-path hooks: keep store identities stable across a restore so
     the next checkpoints stay incremental. *)

@@ -1,6 +1,5 @@
 module Clock = Aurora_sim.Clock
 module Cost = Aurora_sim.Cost
-module Genlog = Aurora_sim.Genlog
 module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
 module Fdesc = Aurora_kern.Fdesc
@@ -95,7 +94,7 @@ let pipe ctx oid =
   | None ->
       charge ctx (Cost.obj_restore_base + pipe_restore_extra);
       let image = Serial.pipe_of_string (meta ctx oid) in
-      let p = Pipe.create () in
+      let p = Pipe.create ctx.mach.Machine.log in
       Pipe.refill p image.Serial.i_data;
       if not image.Serial.i_rd_open then Pipe.close_read p;
       if not image.Serial.i_wr_open then Pipe.close_write p;
@@ -108,7 +107,7 @@ let kqueue ctx oid =
   | None ->
       charge ctx (Cost.obj_restore_base + kqueue_restore_extra);
       let images = Serial.kqueue_of_string (meta ctx oid) in
-      let k = Kqueue.create () in
+      let k = Kqueue.create ctx.mach.Machine.log in
       Kqueue.replace_events k
         (List.map
            (fun (e : Serial.kevent_image) ->
@@ -136,7 +135,9 @@ let pty ctx oid =
          pty restore cost in Table 4. *)
       charge ctx (Cost.obj_restore_base + Cost.devfs_lock);
       let image = Serial.pty_of_string (meta ctx oid) in
-      let p = Pty.create () in
+      let unit_no = image.Serial.i_unit in
+      Machine.reserve_pty_unit ctx.mach unit_no;
+      let p = Pty.create ctx.mach.Machine.log ~unit_no in
       Pty.set_termios p ~echo:image.Serial.i_echo
         ~canonical:image.Serial.i_canonical ~baud:image.Serial.i_baud;
       Pty.refill p ~input:image.Serial.i_input ~output:image.Serial.i_output;
@@ -154,7 +155,7 @@ let shm ctx oid =
         | Either.Right key -> (Shm.Sysv_shm key, shm_sysv_restore_extra)
       in
       charge ctx (Cost.obj_restore_base + extra);
-      let s = Shm.create kind ~npages:image.Serial.i_npages in
+      let s = Shm.create ctx.mach.Machine.log kind ~npages:image.Serial.i_npages in
       Shm.set_backing s (memobj ctx image.Serial.i_backing_oid);
       (match kind with
       | Shm.Posix_shm name -> Hashtbl.replace ctx.mach.Machine.posix_shm name s
@@ -171,7 +172,7 @@ let rec socket ctx oid =
       charge ctx (Cost.obj_restore_base + socket_restore_extra);
       let image = Serial.socket_of_string (meta ctx oid) in
       let s =
-        Socket.create
+        Socket.create ctx.mach.Machine.log
           (if image.Serial.i_domain = 0 then Socket.Inet else Socket.Unix_dom)
           (if image.Serial.i_proto = 0 then Socket.Udp else Socket.Tcp)
       in
@@ -198,7 +199,10 @@ let rec socket ctx oid =
           Socket.data = m.Serial.i_msg_data;
           ctl_fds =
             List.map
-              (fun ctl_oid -> (desc ctx ctl_oid).Fdesc.desc_id)
+              (fun ctl_oid ->
+                let d = desc ctx ctl_oid in
+                Machine.register_description ctx.mach d;
+                d.Fdesc.desc_id)
               m.Serial.i_ctl_oids;
         }
       in
@@ -238,9 +242,8 @@ and desc ctx oid =
         | Serial.I_shm s -> Fdesc.Shm_fd (shm ctx s)
         | Serial.I_device name -> Fdesc.Device_fd name
       in
-      let d = Fdesc.create kind in
+      let d = Fdesc.create ctx.mach.Machine.log kind in
       Fdesc.set_ext_sync d image.Serial.i_ext_sync;
-      Machine.register_description ctx.mach d;
       Hashtbl.replace ctx.descs oid d;
       d
 
@@ -469,24 +472,13 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   List.iter2
     (fun (p : Process.t) oid -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid)
     procs group_image.Serial.i_proc_oids;
-  Hashtbl.iter
-    (fun oid (d : Fdesc.t) -> Group.seed_desc_oid group ~desc_id:d.Fdesc.desc_id ~oid)
-    ctx.descs;
-  Hashtbl.iter
-    (fun oid p -> Group.seed_sub_oid group ~kind:Genlog.kind_pipe ~id:(Pipe.id p) ~oid)
-    ctx.pipes;
-  Hashtbl.iter
-    (fun oid s -> Group.seed_sub_oid group ~kind:Genlog.kind_socket ~id:(Socket.id s) ~oid)
-    ctx.sockets;
-  Hashtbl.iter
-    (fun oid k -> Group.seed_sub_oid group ~kind:Genlog.kind_kqueue ~id:(Kqueue.id k) ~oid)
-    ctx.kqueues;
-  Hashtbl.iter
-    (fun oid p -> Group.seed_sub_oid group ~kind:Genlog.kind_pty ~id:(Pty.id p) ~oid)
-    ctx.ptys;
-  Hashtbl.iter
-    (fun oid s -> Group.seed_sub_oid group ~kind:Genlog.kind_shm ~id:(Shm.id s) ~oid)
-    ctx.shms;
+  let seed id oid = Group.seed_oid group ~id ~oid in
+  Hashtbl.iter (fun oid (d : Fdesc.t) -> seed d.Fdesc.desc_id oid) ctx.descs;
+  Hashtbl.iter (fun oid p -> seed (Pipe.id p) oid) ctx.pipes;
+  Hashtbl.iter (fun oid s -> seed (Socket.id s) oid) ctx.sockets;
+  Hashtbl.iter (fun oid k -> seed (Kqueue.id k) oid) ctx.kqueues;
+  Hashtbl.iter (fun oid p -> seed (Pty.id p) oid) ctx.ptys;
+  Hashtbl.iter (fun oid s -> seed (Shm.id s) oid) ctx.shms;
   (* Memory objects: parents before children so parent links resolve. *)
   let registered = Hashtbl.create 16 in
   let rec register oid obj =
@@ -623,18 +615,10 @@ type verified = {
   vr_skipped : attempt list;
 }
 
-let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid
-    ?max_fallback () =
-  let newest_first = List.rev (Store.checkpoint_epochs store) in
-  let epochs =
-    match max_fallback with
-    | None -> newest_first
-    | Some n ->
-        List.filteri (fun i _ -> i <= n) newest_first
-  in
-  match epochs with
+let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid () =
+  match List.rev (Store.checkpoint_epochs store) with
   | [] -> Error No_checkpoints
-  | _ ->
+  | epochs ->
       let rec go tried = function
         | [] -> Error (No_valid_epoch (List.rev tried))
         | epoch :: rest -> (

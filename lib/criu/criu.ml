@@ -170,7 +170,7 @@ let checkpoint machine procs =
     image )
 
 let restore machine image =
-  let clk = machine.Machine.clock in
+  let clk = machine.Machine.clock and log = machine.Machine.log in
   let r = Wire.reader (Bytes.of_string image) in
   (match Wire.rstr r with
   | m when m = magic -> ()
@@ -200,38 +200,40 @@ let restore machine image =
                     match Hashtbl.find_opt pipes id with
                     | Some pipe -> pipe
                     | None ->
-                        let pipe = Pipe.create () in
+                        let pipe = Pipe.create log in
                         Hashtbl.replace pipes id pipe;
                         pipe
                   in
                   (* The buffer travels with the read end; the write end
                      may already have created the pipe empty. *)
                   Pipe.refill pipe data;
-                  Some (Fdesc.create (Fdesc.Pipe_read pipe))
+                  Some (Fdesc.create log (Fdesc.Pipe_read pipe))
               | 2 ->
                   let id = Wire.ru64 r in
                   let pipe =
                     match Hashtbl.find_opt pipes id with
                     | Some pipe -> pipe
                     | None ->
-                        let pipe = Pipe.create () in
+                        let pipe = Pipe.create log in
                         Hashtbl.replace pipes id pipe;
                         pipe
                   in
-                  Some (Fdesc.create (Fdesc.Pipe_write pipe))
+                  Some (Fdesc.create log (Fdesc.Pipe_write pipe))
               | 3 ->
                   let _ = Wire.ru64 r in
-                  Some (Fdesc.create (Fdesc.Socket_fd (Socket.create Socket.Inet Socket.Udp)))
+                  Some
+                    (Fdesc.create log
+                       (Fdesc.Socket_fd (Socket.create log Socket.Inet Socket.Udp)))
               | 4 ->
                   let _ = Wire.ru64 r in
                   let _ = Wire.ru32 r in
-                  Some (Fdesc.create (Fdesc.Kqueue_fd (Kqueue.create ())))
+                  Some (Fdesc.create log (Fdesc.Kqueue_fd (Kqueue.create log)))
               | 0 ->
                   let _inode = Wire.ru64 r in
                   let _offset = Wire.ru64 r in
                   let _append = Wire.ru8 r in
                   None (* files need a cooperating filesystem; unsupported *)
-              | 8 -> Some (Fdesc.create (Fdesc.Device_fd (Wire.rstr r)))
+              | 8 -> Some (Fdesc.create log (Fdesc.Device_fd (Wire.rstr r)))
               | _ ->
                   let _ = Wire.ru64 r in
                   None

@@ -10,12 +10,9 @@ type t = {
   mutable result : string option;
 }
 
-let next_id = ref 0
-
-let create ~op ~slot ~off ~len ~done_at =
-  incr next_id;
+let create log ~op ~slot ~off ~len ~done_at =
   {
-    aio_id = !next_id;
+    aio_id = Aurora_sim.Genlog.fresh_id log;
     aio_op = op;
     aio_slot = slot;
     aio_off = off;

@@ -17,4 +17,5 @@ type t = {
   mutable result : string option;  (** read data, available at completion *)
 }
 
-val create : op:op -> slot:int -> off:int -> len:int -> done_at:int -> t
+val create :
+  Aurora_sim.Genlog.t -> op:op -> slot:int -> off:int -> len:int -> done_at:int -> t

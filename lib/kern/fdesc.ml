@@ -10,6 +10,7 @@ type kind =
   | Device_fd of string
 
 type t = {
+  log : Aurora_sim.Genlog.t;
   desc_id : int;
   kind : kind;
   mutable refs : int;
@@ -17,21 +18,19 @@ type t = {
   mutable gen : int;
 }
 
-let next_id = ref 0
-
-let create kind =
-  incr next_id;
+let create log kind =
   (match kind with
   | Vnode_file { vn; _ } -> Vnode.opened vn
   | Pipe_read _ | Pipe_write _ | Socket_fd _ | Kqueue_fd _ | Pty_master_fd _
   | Pty_slave_fd _ | Shm_fd _ | Device_fd _ ->
       ());
-  { desc_id = !next_id; kind; refs = 1; ext_sync = true; gen = 0 }
+  let desc_id = Aurora_sim.Genlog.fresh_id log in
+  { log; desc_id; kind; refs = 1; ext_sync = true; gen = 0 }
 
 let generation t = t.gen
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_fdesc ~id:t.desc_id
+  Aurora_sim.Genlog.note t.log t.desc_id
 
 let set_ext_sync t v =
   if t.ext_sync <> v then touch t;

@@ -18,6 +18,7 @@ type kind =
   | Device_fd of string  (** whitelisted device, e.g. "hpet0" *)
 
 type t = {
+  log : Aurora_sim.Genlog.t;  (** the machine's: issues the id, takes stamp notes *)
   desc_id : int;
   kind : kind;
   mutable refs : int;  (** fd-table slots referencing this description *)
@@ -28,7 +29,7 @@ type t = {
           rather than mutating serialized fields in place *)
 }
 
-val create : kind -> t
+val create : Aurora_sim.Genlog.t -> kind -> t
 
 val generation : t -> int
 (** Monotonic mutation stamp over the serialized image (kind payload —

@@ -13,6 +13,7 @@ type knote = {
 and knlist = { mutable notes : knote list }
 
 and t = {
+  log : Aurora_sim.Genlog.t;
   kq_id : int;
   mutable gen : int;
   knotes : (int, knote) Hashtbl.t;  (* keyed by [key ident filter] *)
@@ -24,14 +25,13 @@ and t = {
 
 and fd_watch = { mutable polled : t list }
 
-let next_id = ref 0
 let detached = { notes = [] }
 let no_poller = { polled = [] }
 
-let create () =
-  incr next_id;
+let create log =
   {
-    kq_id = !next_id;
+    log;
+    kq_id = Aurora_sim.Genlog.fresh_id log;
     gen = 0;
     knotes = Hashtbl.create 16;
     next_seq = 0;
@@ -45,7 +45,7 @@ let generation t = t.gen
 
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_kqueue ~id:t.kq_id
+  Aurora_sim.Genlog.note t.log t.kq_id
 
 let filter_code = function
   | Ev_read -> 0

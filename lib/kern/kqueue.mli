@@ -36,7 +36,7 @@ type kevent = {
 
 type t
 
-val create : unit -> t
+val create : Aurora_sim.Genlog.t -> t
 val id : t -> int
 
 val generation : t -> int

@@ -3,9 +3,11 @@ module Cost = Aurora_sim.Cost
 
 type t = {
   clock : Clock.t;
+  log : Aurora_sim.Genlog.t;
   procs : (int, Process.t) Hashtbl.t;
   mutable next_pid : int;
   mutable next_tid : int;
+  mutable next_pty_unit : int;
   posix_shm : (string, Shm.t) Hashtbl.t;
   sysv_shm : (int, Shm.t) Hashtbl.t;
   descriptions : (int, Fdesc.t) Hashtbl.t;
@@ -30,12 +32,14 @@ type t = {
 let create ?clock () =
   {
     clock = (match clock with Some c -> c | None -> Clock.create ());
+    log = Aurora_sim.Genlog.create ();
     procs = Hashtbl.create 64;
     next_pid = 0;
     next_tid = 0;
+    next_pty_unit = 0;
     posix_shm = Hashtbl.create 16;
     sysv_shm = Hashtbl.create 16;
-    descriptions = Hashtbl.create 256;
+    descriptions = Hashtbl.create 16;
     aios = Hashtbl.create 16;
     aios_by_pid = Hashtbl.create 16;
     vfs = None;
@@ -58,8 +62,17 @@ let alloc_tid t =
   t.next_tid <- t.next_tid + 1;
   100_000 + t.next_tid
 
-let register_description t d = Hashtbl.replace t.descriptions d.Fdesc.desc_id d
+let alloc_pty_unit t =
+  t.next_pty_unit <- t.next_pty_unit + 1;
+  t.next_pty_unit - 1
+
+let reserve_pty_unit t u = t.next_pty_unit <- max t.next_pty_unit (u + 1)
+
+(* One binding per in-flight reference: a description sent twice is
+   found until both messages are received. *)
+let register_description t d = Hashtbl.add t.descriptions d.Fdesc.desc_id d
 let find_description t id = Hashtbl.find_opt t.descriptions id
+let unregister_description t id = Hashtbl.remove t.descriptions id
 let proc t pid = Hashtbl.find_opt t.procs pid
 
 (* The root of a process's tree by global ppid links — stands in for the

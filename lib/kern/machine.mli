@@ -1,17 +1,23 @@
 (** The simulated machine: one kernel instance.
 
-    Owns the virtual clock, the process table, the global shared-memory
-    namespaces, the description registry used for SCM_RIGHTS and
-    checkpointing, and the mounted file system. *)
+    Owns the virtual clock, the kernel-object ids and mutation log, the
+    process table, the global shared-memory namespaces, the registry of
+    descriptions in flight in SCM_RIGHTS messages, and the mounted file
+    system. *)
 
 type t = {
   clock : Aurora_sim.Clock.t;
+  log : Aurora_sim.Genlog.t;
+      (** issues every kernel object's id; speculative checkpoints arm it *)
   procs : (int, Process.t) Hashtbl.t;  (** keyed by global pid *)
   mutable next_pid : int;
   mutable next_tid : int;
+  mutable next_pty_unit : int;
   posix_shm : (string, Shm.t) Hashtbl.t;
   sysv_shm : (int, Shm.t) Hashtbl.t;
-  descriptions : (int, Fdesc.t) Hashtbl.t;  (** by [Fdesc.desc_id] *)
+  descriptions : (int, Fdesc.t) Hashtbl.t;
+      (** descriptions in flight in SCM_RIGHTS messages, by
+          [Fdesc.desc_id]: one binding per queued reference *)
   aios : (int, Aio.t * int) Hashtbl.t;
       (** in-flight asynchronous I/O, by [Aio.aio_id]; the second component
           is the issuing process's global pid *)
@@ -38,8 +44,19 @@ val vfs_exn : t -> Vfs.ops
 val alloc_pid : t -> int
 val alloc_tid : t -> int
 
+val alloc_pty_unit : t -> int
+(** The next free /dev/pts unit: 0, 1, ... *)
+
+val reserve_pty_unit : t -> int -> unit
+(** A restored pty keeps its unit: later allocations go past it. *)
+
 val register_description : t -> Fdesc.t -> unit
+(** A message queued one more reference to the description. *)
+
 val find_description : t -> int -> Fdesc.t option
+
+val unregister_description : t -> int -> unit
+(** A message carrying one reference was received. *)
 
 val proc : t -> int -> Process.t option
 (** By global pid. *)

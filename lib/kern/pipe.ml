@@ -1,6 +1,7 @@
 let capacity = 64 * 1024
 
 type t = {
+  log : Aurora_sim.Genlog.t;
   pipe_id : int;
   buf : Buffer.t;
   mutable rd_open : bool;
@@ -9,12 +10,10 @@ type t = {
   knl : Kqueue.knlist;
 }
 
-let next_id = ref 0
-
-let create () =
-  incr next_id;
+let create log =
   {
-    pipe_id = !next_id;
+    log;
+    pipe_id = Aurora_sim.Genlog.fresh_id log;
     buf = Buffer.create 256;
     rd_open = true;
     wr_open = true;
@@ -26,7 +25,7 @@ let id t = t.pipe_id
 let generation t = t.gen
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_pipe ~id:t.pipe_id
+  Aurora_sim.Genlog.note t.log t.pipe_id
 
 let knlist t = t.knl
 

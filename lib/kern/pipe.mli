@@ -5,7 +5,10 @@ type t
 val capacity : int
 (** 64 KiB, as in FreeBSD. *)
 
-val create : unit -> t
+val create : Aurora_sim.Genlog.t -> t
+(** A new pipe with an id from the machine's log, which its stamps note
+    into. *)
+
 val id : t -> int
 
 val generation : t -> int

@@ -1,6 +1,7 @@
 type termios = { mutable echo : bool; mutable canonical : bool; mutable baud : int }
 
 type t = {
+  log : Aurora_sim.Genlog.t;
   pty_id : int;
   unit_no : int;
   tio : termios;
@@ -9,13 +10,11 @@ type t = {
   mutable gen : int;
 }
 
-let next_id = ref 0
-
-let create () =
-  incr next_id;
+let create log ~unit_no =
   {
-    pty_id = !next_id;
-    unit_no = !next_id - 1;
+    log;
+    pty_id = Aurora_sim.Genlog.fresh_id log;
+    unit_no;
     tio = { echo = true; canonical = true; baud = 38400 };
     input = Buffer.create 128;
     output = Buffer.create 128;
@@ -28,7 +27,7 @@ let termios t = t.tio
 let generation t = t.gen
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_pty ~id:t.pty_id
+  Aurora_sim.Genlog.note t.log t.pty_id
 
 let set_termios t ~echo ~canonical ~baud =
   t.tio.echo <- echo;

@@ -12,7 +12,9 @@ type termios = {
 
 type t
 
-val create : unit -> t
+val create : Aurora_sim.Genlog.t -> unit_no:int -> t
+(** A pty with the given /dev/pts unit number. *)
+
 val id : t -> int
 val unit_number : t -> int
 (** The /dev/pts/N number. *)

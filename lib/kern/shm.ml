@@ -10,12 +10,9 @@ type t = {
   mutable gen : int;
 }
 
-let next_id = ref 0
-
-let create shm_kind ~npages =
-  incr next_id;
+let create log shm_kind ~npages =
   {
-    shm_id = !next_id;
+    shm_id = Aurora_sim.Genlog.fresh_id log;
     shm_kind;
     pages = npages;
     vobj = Vm_object.create Vm_object.Anonymous;

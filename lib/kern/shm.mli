@@ -11,7 +11,7 @@ type kind = Posix_shm of string  (** name *) | Sysv_shm of int  (** key *)
 
 type t
 
-val create : kind -> npages:int -> t
+val create : Aurora_sim.Genlog.t -> kind -> npages:int -> t
 val id : t -> int
 val kind : t -> kind
 val npages : t -> int

@@ -9,6 +9,7 @@ type tcp_state =
   | Tcp_established of { mutable snd_seq : int; mutable rcv_seq : int }
 
 type t = {
+  log : Aurora_sim.Genlog.t;
   sock_id : int;
   dom : domain;
   prot : proto;
@@ -24,12 +25,10 @@ type t = {
   knl : Kqueue.knlist;
 }
 
-let next_id = ref 0
-
-let create dom prot =
-  incr next_id;
+let create log dom prot =
   {
-    sock_id = !next_id;
+    log;
+    sock_id = Aurora_sim.Genlog.fresh_id log;
     dom;
     prot;
     laddr = None;
@@ -50,7 +49,7 @@ let proto t = t.prot
 let generation t = t.gen
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_socket ~id:t.sock_id
+  Aurora_sim.Genlog.note t.log t.sock_id
 
 let bind t a =
   t.laddr <- Some a;

@@ -25,7 +25,7 @@ type tcp_state =
 
 type t
 
-val create : domain -> proto -> t
+val create : Aurora_sim.Genlog.t -> domain -> proto -> t
 val id : t -> int
 val domain : t -> domain
 val proto : t -> proto

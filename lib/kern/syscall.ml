@@ -14,10 +14,6 @@ let syscall m = charge m Cost.syscall_overhead
 let fd_exn p slot =
   match Process.fd p slot with Some d -> d | None -> err "EBADF"
 
-let register m desc =
-  Machine.register_description m desc;
-  desc
-
 (* Processes ------------------------------------------------------------- *)
 
 let spawn m ~name =
@@ -143,7 +139,7 @@ let open_file m p ~path ~create =
     | None -> if create then vfs.Vfs.create path else err "ENOENT"
   in
   let desc =
-    register m (Fdesc.create (Fdesc.Vnode_file { vn; offset = 0; append = false }))
+    Fdesc.create m.Machine.log (Fdesc.Vnode_file { vn; offset = 0; append = false })
   in
   Process.alloc_fd p desc
 
@@ -224,17 +220,17 @@ let dup2 p ~src ~dst =
 
 let pipe m p =
   syscall m;
-  let pipe_obj = Pipe.create () in
-  let rd = register m (Fdesc.create (Fdesc.Pipe_read pipe_obj)) in
-  let wr = register m (Fdesc.create (Fdesc.Pipe_write pipe_obj)) in
+  let pipe_obj = Pipe.create m.Machine.log in
+  let rd = Fdesc.create m.Machine.log (Fdesc.Pipe_read pipe_obj) in
+  let wr = Fdesc.create m.Machine.log (Fdesc.Pipe_write pipe_obj) in
   (Process.alloc_fd p rd, Process.alloc_fd p wr)
 
 (* Sockets ---------------------------------------------------------------- *)
 
 let socket m p dom prot =
   syscall m;
-  let s = Socket.create dom prot in
-  let desc = register m (Fdesc.create (Fdesc.Socket_fd s)) in
+  let s = Socket.create m.Machine.log dom prot in
+  let desc = Fdesc.create m.Machine.log (Fdesc.Socket_fd s) in
   Process.alloc_fd p desc
 
 let socket_of p fd =
@@ -250,11 +246,11 @@ let listen p ~fd = Socket.listen (socket_of p fd)
 
 let socketpair m p =
   syscall m;
-  let a = Socket.create Socket.Unix_dom Socket.Udp in
-  let b = Socket.create Socket.Unix_dom Socket.Udp in
+  let a = Socket.create m.Machine.log Socket.Unix_dom Socket.Udp in
+  let b = Socket.create m.Machine.log Socket.Unix_dom Socket.Udp in
   Socket.pair a b;
-  let da = register m (Fdesc.create (Fdesc.Socket_fd a)) in
-  let db = register m (Fdesc.create (Fdesc.Socket_fd b)) in
+  let da = Fdesc.create m.Machine.log (Fdesc.Socket_fd a) in
+  let db = Fdesc.create m.Machine.log (Fdesc.Socket_fd b) in
   (Process.alloc_fd p da, Process.alloc_fd p db)
 
 (* Find a listening socket bound to [addr]'s port: the lowest such slot of
@@ -299,7 +295,7 @@ let accept m p ~fd =
   match Socket.accept_dequeue listener with
   | None -> None
   | Some client ->
-      let conn = Socket.create Socket.Inet Socket.Tcp in
+      let conn = Socket.create m.Machine.log Socket.Inet Socket.Tcp in
       (match Socket.local_addr listener with
       | Some a -> Socket.bind conn a
       | None -> ());
@@ -309,12 +305,13 @@ let accept m p ~fd =
         (Socket.Tcp_established { snd_seq = seq; rcv_seq = seq + 1 });
       Socket.set_tcp_state client
         (Socket.Tcp_established { snd_seq = seq + 1; rcv_seq = seq });
-      let desc = register m (Fdesc.create (Fdesc.Socket_fd conn)) in
+      let desc = Fdesc.create m.Machine.log (Fdesc.Socket_fd conn) in
       Some (Process.alloc_fd p desc)
 
 let send_msg m p ~fd ?(fds = []) data =
   syscall m;
   let s = socket_of p fd in
+  if fds <> [] && Socket.domain s <> Socket.Unix_dom then err "EINVAL";
   let ctl_fds =
     List.map
       (fun slot ->
@@ -326,7 +323,6 @@ let send_msg m p ~fd ?(fds = []) data =
         desc.Fdesc.desc_id)
       fds
   in
-  if ctl_fds <> [] && Socket.domain s <> Socket.Unix_dom then err "EINVAL";
   Socket.send s { Socket.data; ctl_fds }
 
 let recv_msg m p ~fd =
@@ -339,7 +335,10 @@ let recv_msg m p ~fd =
         List.filter_map
           (fun desc_id ->
             match Machine.find_description m desc_id with
-            | Some desc -> Some (Process.alloc_fd p desc)
+            | Some desc ->
+                (* The message's reference moves into the new slot. *)
+                Machine.unregister_description m desc_id;
+                Some (Process.alloc_fd p desc)
             | None -> None)
           msg.Socket.ctl_fds
       in
@@ -349,8 +348,8 @@ let recv_msg m p ~fd =
 
 let kqueue m p =
   syscall m;
-  let kq = Kqueue.create () in
-  let desc = register m (Fdesc.create (Fdesc.Kqueue_fd kq)) in
+  let kq = Kqueue.create m.Machine.log in
+  let desc = Fdesc.create m.Machine.log (Fdesc.Kqueue_fd kq) in
   Process.alloc_fd p desc
 
 (* Readiness of one knote against the polling process's fd table: a read
@@ -409,15 +408,15 @@ let kevent_deregister p ~fd ~ident ~filter =
 
 let posix_openpt m p =
   syscall m;
-  let pty = Pty.create () in
-  let desc = register m (Fdesc.create (Fdesc.Pty_master_fd pty)) in
+  let pty = Pty.create m.Machine.log ~unit_no:(Machine.alloc_pty_unit m) in
+  let desc = Fdesc.create m.Machine.log (Fdesc.Pty_master_fd pty) in
   Process.alloc_fd p desc
 
 let open_pty_slave m p ~master_fd =
   syscall m;
   match (fd_exn p master_fd).Fdesc.kind with
   | Fdesc.Pty_master_fd pty ->
-      let desc = register m (Fdesc.create (Fdesc.Pty_slave_fd pty)) in
+      let desc = Fdesc.create m.Machine.log (Fdesc.Pty_slave_fd pty) in
       Process.alloc_fd p desc
   | Fdesc.Vnode_file _ | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ | Fdesc.Socket_fd _
   | Fdesc.Kqueue_fd _ | Fdesc.Pty_slave_fd _ | Fdesc.Shm_fd _ | Fdesc.Device_fd _
@@ -432,18 +431,18 @@ let shm_open m p ~name ~npages =
     match Hashtbl.find_opt m.Machine.posix_shm name with
     | Some shm -> shm
     | None ->
-        let shm = Shm.create (Shm.Posix_shm name) ~npages in
+        let shm = Shm.create m.Machine.log (Shm.Posix_shm name) ~npages in
         Hashtbl.replace m.Machine.posix_shm name shm;
         shm
   in
-  let desc = register m (Fdesc.create (Fdesc.Shm_fd shm)) in
+  let desc = Fdesc.create m.Machine.log (Fdesc.Shm_fd shm) in
   Process.alloc_fd p desc
 
 let shmget m ~key ~npages =
   match Hashtbl.find_opt m.Machine.sysv_shm key with
   | Some shm -> shm
   | None ->
-      let shm = Shm.create (Shm.Sysv_shm key) ~npages in
+      let shm = Shm.create m.Machine.log (Shm.Sysv_shm key) ~npages in
       Hashtbl.replace m.Machine.sysv_shm key shm;
       shm
 
@@ -501,7 +500,7 @@ let aio_write m p ~fd ~off data =
      cache immediately; completion is what arrives later. *)
   Vnode.write vn ~clock:m.Machine.clock ~off data;
   let aio =
-    Aio.create ~op:Aio.Aio_write ~slot:fd ~off ~len:(String.length data)
+    Aio.create m.Machine.log ~op:Aio.Aio_write ~slot:fd ~off ~len:(String.length data)
       ~done_at:(Clock.now m.Machine.clock + aio_completion_delay)
   in
   Machine.add_aio m ~aio ~pid:p.Process.pid_global;
@@ -512,7 +511,7 @@ let aio_read m p ~fd ~off ~len =
   syscall m;
   let vn = vnode_of p fd in
   let aio =
-    Aio.create ~op:Aio.Aio_read ~slot:fd ~off ~len
+    Aio.create m.Machine.log ~op:Aio.Aio_read ~slot:fd ~off ~len
       ~done_at:(Clock.now m.Machine.clock + aio_completion_delay)
   in
   aio.Aio.result <- Some (Vnode.read vn ~clock:m.Machine.clock ~off ~len);
@@ -543,5 +542,5 @@ let aio_pending m p =
 let open_device m p ~name =
   syscall m;
   if not (Machine.device_allowed m name) then err "EPERM";
-  let desc = register m (Fdesc.create (Fdesc.Device_fd name)) in
+  let desc = Fdesc.create m.Machine.log (Fdesc.Device_fd name) in
   Process.alloc_fd p desc

@@ -1,58 +1,49 @@
-(* A global mutation log for kernel-object generation stamps.
+(* A machine's kernel-object ids and its mutation log for their
+   generation stamps.
 
    Speculative checkpointing (PhoenixOS-style soft quiesce) serializes
    OS objects while the workload keeps running, then must find the
    objects mutated mid-serialize.  Walking the whole object graph and
    dirty-checking every stamp would put an O(objects) pass back inside
    the stop window — exactly the cost speculation exists to remove — so
-   while the log is armed, every generation bump also appends a
-   (kind, id) note here.  The checkpointer drains the log to re-serialize
+   while the log is armed, every generation bump also appends the
+   object's id here.  The checkpointer drains the log to re-serialize
    only the O(mutations) conflict set.
 
-   The log is a process-global singleton like the tracer: generation
-   bumps happen deep inside kernel object modules that know nothing
-   about machines or groups.  Only one speculation phase is ever in
-   flight at a time (the simulation is single-threaded and checkpoints
-   are serialized on the virtual clock), and a spurious note from an
-   unrelated machine merely costs one redundant dirty check, never
-   correctness. *)
+   Each machine owns one log, and its kernel objects draw their ids from
+   it: one id space per machine, so an id alone names an object, and a
+   checkpoint of one machine never sees or clears another's notes. *)
 
-(* Kind tags for the note's origin module.  Processes and threads are
-   absent on purpose: their mutations fold into
-   [Process.effective_generation], which the validator diffs directly
-   per group member. *)
-let kind_pipe = 1
-let kind_socket = 2
-let kind_kqueue = 3
-let kind_pty = 4
-let kind_shm = 5
-let kind_fdesc = 6
+type t = { mutable next_id : int; mutable armed : bool; mutable entries : int list }
 
-let armed = ref false
-let entries : (int * int) list ref = ref []
+let create () = { next_id = 0; armed = false; entries = [] }
 
-let arm () =
-  armed := true;
-  entries := []
+let fresh_id t =
+  t.next_id <- t.next_id + 1;
+  t.next_id
 
-let disarm () =
-  armed := false;
-  entries := []
+let arm t =
+  t.armed <- true;
+  t.entries <- []
 
-let note ~kind ~id = if !armed then entries := (kind, id) :: !entries
+let disarm t =
+  t.armed <- false;
+  t.entries <- []
+
+let note t id = if t.armed then t.entries <- id :: t.entries
 
 (* Drain pending notes (deduplicated, oldest first) without disarming:
    the speculation phase drains repeatedly — refinement rounds, then one
    final drain inside the stop window. *)
-let drain () =
-  let pending = List.rev !entries in
-  entries := [];
+let drain t =
+  let pending = List.rev t.entries in
+  t.entries <- [];
   let seen = Hashtbl.create 16 in
   List.filter
-    (fun e ->
-      if Hashtbl.mem seen e then false
+    (fun id ->
+      if Hashtbl.mem seen id then false
       else begin
-        Hashtbl.replace seen e ();
+        Hashtbl.replace seen id ();
         true
       end)
     pending

@@ -203,6 +203,11 @@ let test_socketpair_and_inflight_rights_restored () =
       | None -> Alcotest.fail "in-flight message lost")
   | _ -> Alcotest.fail "expected 1 process"
 
+let pty_unit p fd =
+  match (Syscall.fd_exn p fd).Fdesc.kind with
+  | Fdesc.Pty_master_fd pty | Fdesc.Pty_slave_fd pty -> Aurora_kern.Pty.unit_number pty
+  | _ -> Alcotest.fail "not a pty fd"
+
 let test_kqueue_and_pty_restored () =
   let sys = Sls.boot () in
   let m = sys.Sls.machine in
@@ -210,7 +215,11 @@ let test_kqueue_and_pty_restored () =
   let kq = Syscall.kqueue m p in
   Syscall.kevent_register p ~fd:kq
     { Kqueue.ident = 9; filter = Kqueue.Ev_read; flags = 1; udata = 77 };
+  (* Units 0 and 1 are gone by the checkpoint: the live pty is unit 2. *)
+  Syscall.close p (Syscall.posix_openpt m p);
+  Syscall.close p (Syscall.posix_openpt m p);
   let master = Syscall.posix_openpt m p in
+  Alcotest.(check int) "pty unit before checkpoint" 2 (pty_unit p master);
   let slave = Syscall.open_pty_slave m p ~master_fd:master in
   ignore (Syscall.write m p ~fd:master "typed before crash");
   let group = Sls.attach sys [ p ] in
@@ -226,7 +235,10 @@ let test_kqueue_and_pty_restored () =
           Alcotest.(check int) "kqueue udata" 77 ev.Kqueue.udata
       | _ -> Alcotest.fail "kqueue fd wrong kind");
       Alcotest.(check string) "pty input buffer restored" "typed before crash"
-        (Syscall.read m' p' ~fd:slave ~len:100)
+        (Syscall.read m' p' ~fd:slave ~len:100);
+      Alcotest.(check int) "restored pty keeps its unit" 2 (pty_unit p' master);
+      Alcotest.(check int) "a new pty gets the next unit" 3
+        (pty_unit p' (Syscall.posix_openpt m' p'))
   | _ -> Alcotest.fail "expected 1 process"
 
 let test_shared_memory_restored_shared () =

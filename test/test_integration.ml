@@ -6,6 +6,7 @@ module Clock = Aurora_sim.Clock
 module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
 module Syscall = Aurora_kern.Syscall
+module Socket = Aurora_kern.Socket
 module Vm_space = Aurora_vm.Vm_space
 module Vm_object = Aurora_vm.Vm_object
 module Vm_map = Aurora_vm.Vm_map
@@ -881,10 +882,10 @@ let test_record_log_bounded_by_checkpoints () =
 
 (* In-process determinism -------------------------------------------------- *)
 
-(* Untraced virtual-time figures do not depend on what ran earlier in the
-   same process: the kernel's per-module id counters never reach an
-   output.  Each scenario runs twice in one process and must return
-   equal records. *)
+(* Untraced virtual-time figures and checkpoint images do not depend on
+   what ran earlier in the same process: kernel-object ids come from each
+   machine's own counter.  Each scenario runs twice in one process and
+   must return equal records. *)
 let test_in_process_determinism () =
   let http speculative () =
     Http_sim.run
@@ -925,11 +926,41 @@ let test_in_process_determinism () =
     let first = checkpoint "after restore" in
     (r.Restore.restore_ns, first, checkpoint "and again")
   in
+  (* A TCP connection's sequence numbers and a pty's unit are drawn from
+     the machine: two identically built machines checkpoint equal images. *)
+  let first_epoch () =
+    let sys = Sls.boot () in
+    let m = sys.Sls.machine in
+    let p = Syscall.spawn m ~name:"net" in
+    let addr = { Socket.host = "10.0.0.1"; port = 80 } in
+    let lfd = Syscall.socket m p Socket.Inet Socket.Tcp in
+    Syscall.bind p ~fd:lfd addr;
+    Syscall.listen p ~fd:lfd;
+    let cfd = Syscall.socket m p Socket.Inet Socket.Tcp in
+    Alcotest.(check bool) "connect finds the listener" true
+      (Syscall.tcp_connect m p ~fd:cfd addr);
+    Alcotest.(check bool) "accept completes the pair" true
+      (Syscall.accept m p ~fd:lfd <> None);
+    ignore (Syscall.posix_openpt m p);
+    let st = sys.Sls.store in
+    let epoch = (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ])).Group.epoch in
+    Store.objects_at st ~epoch
+    |> List.map (fun (oid, kind) -> ((oid, kind), Store.read_meta st ~epoch ~oid))
+  in
   let twice name f = Alcotest.(check bool) name true (f () = f ()) in
   twice "http stop-the-world" (http false);
   twice "http speculative" (http true);
   twice "memcached" kv;
-  twice "crash, lazy restore, two checkpoints" crash_restore
+  twice "crash, lazy restore, two checkpoints" crash_restore;
+  let a = first_epoch () and b = first_epoch () in
+  Alcotest.(check (list (pair int string))) "same object set at the first epoch"
+    (List.map fst a) (List.map fst b);
+  List.iter2
+    (fun ((oid, kind), meta_a) (_, meta_b) ->
+      Alcotest.(check string)
+        (Printf.sprintf "meta of oid %d (%s)" oid kind)
+        meta_a meta_b)
+    a b
 
 (* High availability by continuous checkpoint shipping --------------------- *)
 

@@ -158,6 +158,36 @@ let test_scm_rights_transfers_descriptor () =
   | Some (_, fds) -> Alcotest.failf "expected 1 fd, got %d" (List.length fds)
   | None -> Alcotest.fail "expected message"
 
+(* The machine's description registry holds only descriptions in flight:
+   sockets opened and closed leave nothing behind, and a description sent
+   twice stays registered until both messages are received. *)
+let test_description_registry_in_flight_only () =
+  let m = machine () in
+  let p = Syscall.spawn m ~name:"churn" in
+  let in_flight () = Hashtbl.length m.Machine.descriptions in
+  for _ = 1 to 1_000 do
+    Syscall.close p (Syscall.socket m p Socket.Inet Socket.Tcp)
+  done;
+  Alcotest.(check int) "socket churn registers nothing" 0 (in_flight ());
+  let rd, wr = Syscall.pipe m p in
+  let a, b = Syscall.socketpair m p in
+  Syscall.send_msg m p ~fd:a ~fds:[ wr ] "one";
+  Syscall.send_msg m p ~fd:a ~fds:[ wr ] "two";
+  Alcotest.(check int) "two references in flight" 2 (in_flight ());
+  let receive () =
+    match Syscall.recv_msg m p ~fd:b with
+    | Some (_, [ fd ]) -> fd
+    | Some (_, fds) -> Alcotest.failf "expected 1 fd, got %d" (List.length fds)
+    | None -> Alcotest.fail "expected message"
+  in
+  let fd1 = receive () in
+  let fd2 = receive () in
+  Alcotest.(check int) "received references leave the registry" 0 (in_flight ());
+  ignore (Syscall.write m p ~fd:fd1 "ab");
+  ignore (Syscall.write m p ~fd:fd2 "cd");
+  Alcotest.(check string) "both received fds write the pipe" "abcd"
+    (Syscall.read m p ~fd:rd ~len:8)
+
 let test_kqueue_register () =
   let m = machine () in
   let p = Syscall.spawn m ~name:"p" in
@@ -559,7 +589,7 @@ let kevent_poll_matches_scan ops =
 type kq_model_op = M_reg of int * int * int | M_dereg of int * int | M_replace
 
 let kq_events_match_list_model ops =
-  let kq = Kqueue.create () in
+  let kq = Kqueue.create (Aurora_sim.Genlog.create ()) in
   let model = ref [] in
   let same ident f (e : Kqueue.kevent) =
     e.Kqueue.ident = ident && e.Kqueue.filter = kq_filters.(f)
@@ -652,6 +682,8 @@ let () =
           Alcotest.test_case "pipe capacity" `Quick test_pipe_capacity;
           Alcotest.test_case "socketpair" `Quick test_socketpair_messages;
           Alcotest.test_case "SCM_RIGHTS" `Quick test_scm_rights_transfers_descriptor;
+          Alcotest.test_case "description registry in flight only" `Quick
+            test_description_registry_in_flight_only;
           Alcotest.test_case "kqueue" `Quick test_kqueue_register;
           Alcotest.test_case "kqueue activation" `Quick test_kqueue_activation;
           Alcotest.test_case "pty" `Quick test_pty_echo_path;

@@ -168,6 +168,39 @@ let test_respeculated_object_not_skipped () =
         (Syscall.read sys'.Sls.machine p' ~fd:(fst w.pipes.(0)) ~len:32)
   | _ -> Alcotest.fail "expected 1 restored process"
 
+(* Each machine owns its mutation log: machine B's speculative checkpoint,
+   run inside machine A's soft window after A's pipe was written, must
+   neither clear A's pending note nor stop A's logging.  A's validator
+   still re-copies the pipe, so the restored pipe holds both writes. *)
+let test_other_machine_speculation_keeps_log () =
+  let a = make_world () in
+  let b = make_world ~npipes:2 ~nsocks:2 () in
+  Group.set_speculative a.group true;
+  Group.set_speculative b.group true;
+  ignore (Syscall.write a.m a.p ~fd:(snd a.pipes.(0)) "early");
+  dirty_everything a;
+  dirty_everything b;
+  let fired = ref false in
+  Machine.set_run_hook a.m
+    (Some
+       (fun _ns ->
+         if not !fired then begin
+           fired := true;
+           ignore (Syscall.write a.m a.p ~fd:(snd a.pipes.(0)) "late");
+           ignore (Group.checkpoint ~wait_durable:true b.group)
+         end));
+  let c = Group.checkpoint ~wait_durable:true a.group in
+  Machine.set_run_hook a.m None;
+  Alcotest.(check bool) "the mid-window write fired" true !fired;
+  Alcotest.(check bool) "A's conflict set includes the re-written pipe" true
+    (c.Group.conflict_objects > 0);
+  let sys', result = Sls.reboot_and_restore a.sys in
+  match result.Restore.procs with
+  | [ p' ] ->
+      Alcotest.(check string) "restored pipe holds both writes" "earlyprelate"
+        (Syscall.read sys'.Sls.machine p' ~fd:(fst a.pipes.(0)) ~len:32)
+  | _ -> Alcotest.fail "expected 1 restored process"
+
 (* Negative control: an unstamped in-place poke during the window is the
    mutation class the stamp rule cannot see.  The validator must keep the
    speculative (pre-poke) image — matching what an incremental
@@ -426,6 +459,8 @@ let () =
             test_stw_stats_inert;
           Alcotest.test_case "re-speculated object not skipped" `Quick
             test_respeculated_object_not_skipped;
+          Alcotest.test_case "another machine's speculation keeps the log"
+            `Quick test_other_machine_speculation_keeps_log;
           Alcotest.test_case "unstamped poke keeps speculative image" `Quick
             test_unstamped_poke_keeps_speculative_image;
           Alcotest.test_case "crash mid-speculation recovers previous epoch"
